@@ -9,10 +9,17 @@ and a unit coefficient vector in the null space of the block's band columns
 combines them into a vector of squared norm at most delta_k, which shrinks
 like 1/n. The witness is explicit and is re-verified directly against the
 matrix wherever it is reported.
+
+Exhaustive questions over all r^M labeled partitions are answered by one
+depth-first branch-and-bound over label prefixes (`_partition_search`). It
+reports exactly what a walk over every partition in enumeration order
+reports, while computing a few thousand part bounds for (2, 4) instead of
+two per partition.
 """
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -44,6 +51,9 @@ DEFAULT_ASSIGNMENT_BUDGET = 1 << 24
 
 # Slack allowed on the witness bound achieved <= delta_k.
 WITNESS_TOL = 1e-8
+
+# Unit roundoff of float64.
+_EPS = float(np.finfo(np.float64).eps)
 
 # Singular values below this fraction of the largest are treated as zero
 # when the null space of a band sub-block is extracted.
@@ -95,6 +105,22 @@ def partition_from_assignment(labels, num_parts: int) -> Partition:
     return Partition(tuple(tuple(b) for b in buckets))
 
 
+def _check_assignment_budget(size: int, num_parts: int, budget: int) -> int:
+    """Validate the walk's arguments; return num_parts**size if within budget."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    if num_parts < 1:
+        raise ValueError("num_parts must be >= 1")
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    total = num_parts**size
+    if total > budget:
+        raise ResourceLimitError(
+            f"{num_parts}^{size} = {total} assignments exceed the budget of {budget}"
+        )
+    return total
+
+
 def enumerate_partitions(
     size: int,
     num_parts: int,
@@ -110,17 +136,7 @@ def enumerate_partitions(
     those moving index 0's part). The budget is checked eagerly against
     num_parts**size and exceeding it raises ResourceLimitError.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if num_parts < 1:
-        raise ValueError("num_parts must be >= 1")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    total = num_parts**size
-    if total > budget:
-        raise ResourceLimitError(
-            f"{num_parts}^{size} = {total} assignments exceed the budget of {budget}"
-        )
+    _check_assignment_budget(size, num_parts, budget)
 
     def _walk():
         if canonical:
@@ -177,6 +193,114 @@ def _part_bounds(G: np.ndarray, partition: Partition) -> tuple[list, float]:
     return bounds, worst
 
 
+def _prune_margin(G: np.ndarray) -> float:
+    """Largest amount a computed part bound can rise when rows are appended.
+
+    Exactly, appending rows to a part can only lower its smallest Gram
+    eigenvalue (Cauchy interlacing: the old Gram is a principal submatrix
+    of the new one). The computed values can rise, by rounding alone.
+    eigvalsh is backward stable: what it returns for an s x s Hermitian H
+    are the exact eigenvalues of H + E with ||E||_2 <= p(s) eps ||H||_2, so
+    (Weyl) each is off by at most that much. We take p(s) = 4 s^2, above
+    the s^2 growth of worst-case Householder tridiagonalisation analyses,
+    with s <= M and ||H||_2 <= ||H||_F <= ||G||_F for any principal
+    submatrix H of G. The bound computed for a part then exceeds the one
+    computed for any subset of it by less than twice that error, which is
+    the margin; the slack in p also covers the roundings of ||G||_F and of
+    the sums the margin enters.
+    """
+    size = G.shape[0]
+    return 2.0 * 4.0 * size * size * _EPS * float(np.linalg.norm(G))
+
+
+@dataclass(frozen=True, eq=False)
+class _SearchResult:
+    """Outcome of `_partition_search` with the work it took.
+
+    partition is the first maximizer in lexicographic label order,
+    part_bounds its per-part bounds (None for empty parts) and value their
+    minimum, all exactly as `_part_bounds` computes them; nodes counts the
+    label prefixes examined and eigensolves the part bounds computed.
+    """
+
+    partition: Partition
+    part_bounds: tuple
+    value: float
+    nodes: int
+    eigensolves: int
+
+
+def _partition_search(
+    G: np.ndarray,
+    num_parts: int,
+    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
+    threshold: float = math.inf,
+) -> _SearchResult:
+    """Max over labeled partitions of the min nonempty-part Riesz bound.
+
+    Branch-and-bound over label prefixes, depth first, children in label
+    order, so leaves come in the lexicographic order of
+    `enumerate_partitions`. Rows are appended in index order, so each
+    part's index list stays sorted and its bound is computed from the same
+    `G[np.ix_(idx, idx)]` that `_part_bounds` uses; a leaf's value is the
+    min of those per-part values, bit for bit the flat walk's value.
+
+    A prefix whose nonempty parts' min, plus `_prune_margin(G)`, is at or
+    below the best leaf so far is not extended: no leaf below it can be
+    strictly better, so the first maximizer is the flat walk's. Each
+    examined prefix (node) costs one eigensolve, for the part it changed.
+
+    The first leaf in lexicographic order whose value exceeds `threshold`
+    raises CertificationError: best never exceeds the threshold, so no
+    skipped leaf does either. The budget is checked eagerly on
+    num_parts**M, which is the number of partitions the search covers.
+    """
+    size = G.shape[0]
+    _check_assignment_budget(size, num_parts, budget)
+    margin = _prune_margin(G)
+    last = size - 1
+    parts: list[list[int]] = [[] for _ in range(num_parts)]
+    values = [math.inf] * num_parts  # bound of each part; inf while empty
+    labels = [0] * size
+    best = -math.inf
+    best_labels: list[int] = []
+    best_values: list[float] = []
+    nodes = eigensolves = 0
+
+    def descend(i: int) -> None:
+        nonlocal best, best_labels, best_values, nodes, eigensolves
+        for j in range(num_parts):
+            nodes += 1
+            labels[i] = j
+            part = parts[j]
+            part.append(i)
+            before = values[j]
+            values[j] = _eig_min(G[np.ix_(part, part)])
+            eigensolves += 1
+            value = min(values)
+            if i == last:
+                if value > threshold:
+                    raise CertificationError(
+                        f"partition keeps min-part bound {value} above {threshold}",
+                        partition=partition_from_assignment(labels, num_parts),
+                    )
+                if value > best:
+                    best, best_labels, best_values = value, labels[:], values[:]
+            elif value + margin > best:
+                descend(i + 1)
+            part.pop()
+            values[j] = before
+
+    descend(0)
+    return _SearchResult(
+        partition_from_assignment(best_labels, num_parts),
+        tuple(None if v == math.inf else v for v in best_values),
+        best,
+        nodes,
+        eigensolves,
+    )
+
+
 def best_partition_riesz(
     family: FrameFamily,
     num_parts: int,
@@ -184,19 +308,13 @@ def best_partition_riesz(
 ) -> tuple[Partition, float]:
     """Maximize, over all labeled partitions, the minimum per-part Riesz bound.
 
-    Exhaustive: walks every assignment within the budget, evaluating the
-    minimum over nonempty parts of the part's Riesz bound, and returns the
-    first partition attaining the maximum (enumeration order breaks ties).
+    Exhaustive within the budget on num_parts**count assignments: an
+    interlacing branch-and-bound covers every assignment and returns the
+    first partition attaining the maximum in enumeration order, with the
+    minimum over nonempty parts of the part's Riesz bound.
     """
-    G = gram(family.vectors)
-    best_partition = None
-    best_value = -np.inf
-    for partition in enumerate_partitions(family.count, num_parts, budget=budget):
-        _, value = _part_bounds(G, partition)
-        if value > best_value:
-            best_partition, best_value = partition, value
-    assert best_partition is not None
-    return best_partition, float(best_value)
+    result = _partition_search(gram(family.vectors), num_parts, budget=budget)
+    return result.partition, result.value
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +372,40 @@ def _null_direction(block: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _block_witness(
+    family: StackedDftFrame, k: int, rows: tuple[int, ...]
+) -> tuple[np.ndarray, float]:
+    """Unit coefficients on `rows` of block k killing its band, and the
+    squared norm of the combination they make."""
+    band = list(family.layout.band_columns(k))
+    sub = family.vectors[list(rows), :]
+    coeff = _null_direction(sub[:, band].T if band else np.zeros((0, len(rows))))
+    combo = coeff @ sub
+    return coeff, float(np.sum(np.abs(combo) ** 2))
+
+
+def _witness_table(family: StackedDftFrame) -> dict[tuple[int, tuple[int, ...]], float]:
+    """Achieved witness norm for every (k, rows) a witness can be built from.
+
+    `witness_coefficients` builds block k's candidate from the rows of block
+    k in the part holding the most of them, at least n of its r*n. Any
+    subset of the block with at least n rows is such a selection (put it
+    in part 0 and spread the rest of the block evenly over the other
+    parts, none of which then holds more), so the table lists exactly the
+    candidates over all partitions: for (2, 4), 163 entries against 65,536
+    partitions. Entries are bit-identical to the achieved_norm_sq the
+    per-partition call computes.
+    """
+    rn = family.r * family.n
+    table = {}
+    for k in range(1, family.r):
+        block = range((k - 1) * rn, k * rn)
+        for size in range(family.n, rn + 1):
+            for rows in combinations(block, size):
+                table[(k, rows)] = _block_witness(family, k, rows)[1]
+    return table
+
+
 def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witness:
     """Find witness coefficients for a partition of a built (r, n) family.
 
@@ -275,7 +427,6 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
             f"partition must split {family.count} indices into {r} parts, "
             f"got {partition.size} into {partition.num_parts}"
         )
-    V = family.vectors
     best: Witness | None = None
     for k in range(1, r):
         lo, hi = (k - 1) * rn, k * rn
@@ -288,11 +439,7 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
             raise InternalInconsistencyError(
                 f"pigeonhole failed for block {k}: largest intersection {len(chosen_rows)} < {n}"
             )
-        band = list(family.layout.band_columns(k))
-        sub = V[list(chosen_rows), :]
-        coeff = _null_direction(sub[:, band].T if band else np.zeros((0, len(chosen_rows))))
-        combo = coeff @ sub
-        achieved = float(np.sum(np.abs(combo) ** 2))
+        coeff, achieved = _block_witness(family, k, chosen_rows)
         wit = Witness(k, chosen_part, chosen_rows, coeff, achieved)
         if best is None or wit.achieved_norm_sq < best.achieved_norm_sq:
             best = wit
@@ -400,15 +547,19 @@ def certify_nonpavable(
 ) -> CertificationSummary:
     """Certify that every checked partition leaves some part's bound small.
 
-    mode "exhaustive" walks every labeled r-part partition of the rows
-    (within budget); mode "sampled" draws `count` assignments uniformly
+    mode "exhaustive" covers every labeled r-part partition of the rows
+    (within budget on r**M) with the branch-and-bound of
+    `_partition_search`; mode "sampled" draws `count` assignments uniformly
     using the Philox stream for `seed`. Each partition must satisfy
     min-part bound <= max(delta_1..delta_{r-1}) + 1e-8 and must yield valid
     witness coefficients; any violation raises CertificationError carrying
-    the offending partition. The summary reports the worst (largest)
-    min-part bound seen, with a full certificate for the first partition
-    attaining it. Families with n = 1 certify trivially and are flagged
-    vacuous.
+    the offending partition (in exhaustive mode, the first one in
+    enumeration order). Exhaustive mode checks witnesses once per block
+    subset, before the search: every entry of `_witness_table` must stay
+    within delta_k + WITNESS_TOL, or InternalInconsistencyError names the
+    (k, rows) that fails. The summary reports the worst (largest) min-part
+    bound seen, with a full certificate for the first partition attaining
+    it. Families with n = 1 certify trivially and are flagged vacuous.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("certification needs a built family with layout metadata")
@@ -418,33 +569,41 @@ def certify_nonpavable(
     if mode == "exhaustive":
         if count is not None:
             raise ValueError("count applies only to sampled mode")
-        partitions = enumerate_partitions(family.count, r, budget=budget)
         seed = None
+        checked = _check_assignment_budget(family.count, r, budget)
+        for (k, rows), achieved in _witness_table(family).items():
+            delta = family.schedule.deltas[k - 1]
+            if achieved > delta + WITNESS_TOL:
+                raise InternalInconsistencyError(
+                    f"witness for block {k} rows {rows} achieved {achieved}, "
+                    f"above delta_{k} = {delta}"
+                )
+        result = _partition_search(G, r, budget=budget, threshold=threshold)
+        worst_partition, worst_bounds, worst_value = (
+            result.partition, result.part_bounds, result.value
+        )
     elif mode == "sampled":
         if count is None or count < 1:
             raise ValueError("sampled mode needs count >= 1")
         seed = 0 if seed is None else int(seed)
-        partitions = _sampled_partitions(family.count, r, int(count), seed)
+        checked = 0
+        worst_value = -np.inf
+        worst_partition = None
+        worst_bounds = None
+        for partition in _sampled_partitions(family.count, r, int(count), seed):
+            bounds, value = _part_bounds(G, partition)
+            if value > threshold:
+                raise CertificationError(
+                    f"partition keeps min-part bound {value} above {threshold}",
+                    partition=partition,
+                )
+            witness_coefficients(family, partition)
+            checked += 1
+            if value > worst_value:
+                worst_value, worst_partition, worst_bounds = value, partition, bounds
     else:
         raise ValueError(f'mode must be "exhaustive" or "sampled", got {mode!r}')
 
-    checked = 0
-    worst_value = -np.inf
-    worst_partition = None
-    worst_bounds = None
-    for partition in partitions:
-        bounds, value = _part_bounds(G, partition)
-        if value > threshold:
-            raise CertificationError(
-                f"partition keeps min-part bound {value} above {threshold}",
-                partition=partition,
-            )
-        witness_coefficients(family, partition)
-        checked += 1
-        if value > worst_value:
-            worst_value, worst_partition, worst_bounds = value, partition, bounds
-    if worst_partition is None:
-        raise ValueError("no partitions were checked")
     certificate = RieszCertificate(
         worst_partition,
         tuple(worst_bounds),

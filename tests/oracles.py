@@ -140,3 +140,37 @@ def distinct_partition_count(size, num_parts):
                 parts.append(members)
         seen.add(frozenset(parts))
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# max-min partition search by the flat walk over every labeling
+# ---------------------------------------------------------------------------
+
+def flat_partition_values(gram_matrix, num_parts):
+    """(parts, value) for every labeling of the rows, in lexicographic order.
+
+    Index 0 is the most significant label. value is the smallest, over the
+    nonempty parts, of the part's smallest Gram eigenvalue, taken by numpy's
+    eigvalsh on the principal submatrix with sorted indices.
+    """
+    g = np.asarray(gram_matrix)
+    size = g.shape[0]
+    for labels in itertools.product(range(num_parts), repeat=size):
+        parts = tuple(
+            tuple(i for i, a in enumerate(labels) if a == label)
+            for label in range(num_parts)
+        )
+        value = min(
+            float(np.linalg.eigvalsh(g[np.ix_(list(p), list(p))])[0])
+            for p in parts if p
+        )
+        yield parts, value
+
+
+def flat_max_min_partition(gram_matrix, num_parts):
+    """First labeling, in lexicographic order, with the largest value."""
+    best_parts, best_value = None, -math.inf
+    for parts, value in flat_partition_values(gram_matrix, num_parts):
+        if value > best_value:
+            best_parts, best_value = parts, value
+    return best_parts, best_value

@@ -331,3 +331,5 @@ def test_usage_error_exit_code_via_subprocess():
         capture_output=True, text=True,
     )
     assert proc.returncode == 1, proc.stderr  # missing --n is a usage error, not argparse's 2
+    # an import failure also exits 1; the message shows the parser ran
+    assert "required: --n" in proc.stderr, proc.stderr

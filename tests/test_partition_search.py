@@ -1,0 +1,157 @@
+"""The branch-and-bound partition search against the flat walk it replaces.
+
+The search must report exactly what walking every labeled partition in
+enumeration order reports: the same first maximizer, the same float bit for
+bit, the same first partition above a certify threshold, and byte-identical
+certificates. Witnesses are checked once per block subset; that table must
+hold exactly the witnesses the per-partition call builds.
+"""
+
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nonpaving.paving_analysis as pa
+from nonpaving import (
+    CertificationError,
+    FrameFamily,
+    InternalInconsistencyError,
+    best_partition_riesz,
+    build_nonpavable_general,
+    certify_nonpavable,
+    enumerate_partitions,
+    gram,
+    witness_coefficients,
+)
+from nonpaving.cli import main
+
+from oracles import flat_max_min_partition, flat_partition_values
+
+DATA = Path(__file__).parent / "data"
+
+
+def random_family(seed, rows, dim):
+    rng = np.random.default_rng(seed)
+    return FrameFamily(rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim)))
+
+
+def repeated_rows_family(seed):
+    # every row appears twice, so many partitions tie exactly
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    return FrameFamily(base[[0, 1, 2, 3, 0, 1, 2, 3]])
+
+
+CASES = [
+    pytest.param(lambda: build_nonpavable_general(2, 1), 2, id="r2n1"),
+    pytest.param(lambda: build_nonpavable_general(2, 2), 2, id="r2n2"),
+    pytest.param(lambda: build_nonpavable_general(2, 3), 2, id="r2n3"),
+    pytest.param(lambda: build_nonpavable_general(3, 1), 3, id="r3n1"),
+    pytest.param(lambda: FrameFamily(np.eye(2, dtype=complex)), 2, id="orthonormal"),
+    pytest.param(lambda: random_family(1, 8, 3), 2, id="random-r2-a"),
+    pytest.param(lambda: random_family(2, 9, 4), 2, id="random-r2-b"),
+    pytest.param(lambda: random_family(3, 6, 2), 3, id="random-r3-a"),
+    pytest.param(lambda: random_family(4, 7, 3), 3, id="random-r3-b"),
+    pytest.param(lambda: repeated_rows_family(5), 2, id="repeated-rows"),
+]
+
+
+@pytest.mark.parametrize("make, num_parts", CASES)
+def test_search_matches_flat_walk_bit_for_bit(make, num_parts):
+    family = make()
+    parts, value = best_partition_riesz(family, num_parts)
+    want_parts, want_value = flat_max_min_partition(gram(family.vectors), num_parts)
+    assert parts.parts == want_parts
+    assert value == want_value
+
+
+@pytest.mark.parametrize("seed, rows, num_parts", [(11, 8, 2), (12, 6, 3)])
+def test_threshold_raises_on_first_partition_above_it(seed, rows, num_parts):
+    G = gram(random_family(seed, rows, 3).vectors)
+    values = sorted({v for _, v in flat_partition_values(G, num_parts)})
+    threshold = values[len(values) // 2]
+    first = next(p for p, v in flat_partition_values(G, num_parts) if v > threshold)
+    with pytest.raises(CertificationError) as info:
+        pa._partition_search(G, num_parts, threshold=threshold)
+    assert info.value.partition.parts == first
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (2, 4), (3, 1)])
+def test_part_bounds_match_flat_evaluation(r, n):
+    """A leaf's value is the min of freshly computed part bounds; a running
+    min over the prefixes reads 0.39999999999999986 for (2, 4), not
+    0.40000000000000013."""
+    G = gram(build_nonpavable_general(r, n).vectors)
+    result = pa._partition_search(G, r)
+    bounds, value = pa._part_bounds(G, result.partition)
+    assert result.part_bounds == tuple(bounds)
+    assert result.value == value
+
+
+def test_prune_margin_covers_every_computed_rise():
+    """Exact part bounds only fall as rows are appended; computed ones also
+    rise, by ulps, so the search can prune only with the margin above them."""
+    G = gram(build_nonpavable_general(2, 3).vectors)
+    size = G.shape[0]
+    value, prefix_min = {}, {}
+    worst_rise = -np.inf
+    for mask in range(1, 1 << size):  # a prefix's mask is smaller than its extension's
+        idx = [i for i in range(size) if mask >> i & 1]
+        value[mask] = float(np.linalg.eigvalsh(G[np.ix_(idx, idx)])[0])
+        parent = mask & ~(1 << idx[-1])
+        if parent:
+            prefix_min[mask] = min(value[parent], prefix_min.get(parent, np.inf))
+            worst_rise = max(worst_rise, value[mask] - prefix_min[mask])
+    assert 0.0 < worst_rise < pa._prune_margin(G)
+
+
+@pytest.mark.parametrize("n, nodes", [(3, 1090), (4, 6914)])
+def test_search_work_counts_are_pinned(n, nodes):
+    """Against 2**(4n) partitions with two eigensolves each in the flat walk."""
+    result = pa._partition_search(gram(build_nonpavable_general(2, n).vectors), 2)
+    assert result.nodes == nodes
+    assert result.eigensolves == nodes
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_exhaustive_certificate_bytes_unchanged(n, tmp_path, capsys):
+    """Recorded from the flat walk; the search must reproduce it byte for byte."""
+    out = tmp_path / "c.json"
+    code = main(["certify", "--r", "2", "--n", str(n), "--mode", "exhaustive",
+                 "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (DATA / f"cert_r2_n{n}_exhaustive.json").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# witness table
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_witness_table_holds_every_partition_witness(n):
+    family = build_nonpavable_general(2, n)
+    table = pa._witness_table(family)
+    assert len(table) == sum(comb(2 * n, s) for s in range(n, 2 * n + 1))
+    used = set()
+    for partition in enumerate_partitions(family.count, 2):
+        wit = witness_coefficients(family, partition)
+        key = (wit.k, wit.indices)
+        assert table[key] == wit.achieved_norm_sq
+        used.add(key)
+    assert used == set(table)
+
+
+def test_exhaustive_certify_rejects_a_bad_witness_entry(monkeypatch):
+    real = pa._witness_table
+
+    def inflated(family):
+        table = real(family)
+        table[(1, (0, 1, 3))] = 1.0
+        return table
+
+    monkeypatch.setattr(pa, "_witness_table", inflated)
+    with pytest.raises(InternalInconsistencyError, match=r"block 1 rows \(0, 1, 3\)"):
+        certify_nonpavable(build_nonpavable_general(2, 3), "exhaustive")
