@@ -1,10 +1,10 @@
 """Command line interface.
 
 Subcommands: build, verify, certify, double, sweep. Exit codes are part of
-the contract: 0 success, 1 usage error, 2 I/O or parse error, 3 verification
-or certification failure, 4 resource budget exceeded. All numbers written to
-files carry 17 significant digits and repeated runs with identical flags and
-seeds produce byte-identical files.
+the contract: 0 success, 1 usage error, 2 I/O or parse error, 3 verification,
+certification or internal check failure, 4 resource budget exceeded. All
+numbers written to files carry 17 significant digits and repeated runs with
+identical flags and seeds produce byte-identical files.
 """
 
 import argparse
@@ -180,6 +180,10 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         if count is not None and count < 1:
             raise ValueError("--count must be >= 1")
 
+    seed = getattr(ns, "seed", 0)
+    if seed < 0 and (command == "double" or mode == "sampled"):
+        raise ValueError("--seed must be >= 0")
+
     budget = getattr(ns, "budget", DEFAULT_ASSIGNMENT_BUDGET)
     if budget < 1:
         raise ValueError("--budget must be positive")
@@ -203,7 +207,7 @@ def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
         steps=steps,
         mode=mode,
         count=count,
-        seed=getattr(ns, "seed", 0),
+        seed=seed,
         budget=budget,
         entry_budget=entry_budget,
         tol_construct=tol_construct,
@@ -422,6 +426,9 @@ def main(argv=None) -> int:
         return 2
     except CertificationError as exc:
         print(f"nonpaving: certification failed: {exc}", file=sys.stderr)
+        return 3
+    except InternalInconsistencyError as exc:
+        print(f"nonpaving: internal check failed: {exc}", file=sys.stderr)
         return 3
     except ResourceLimitError as exc:
         print(f"nonpaving: resource limit: {exc}", file=sys.stderr)

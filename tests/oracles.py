@@ -174,3 +174,57 @@ def flat_max_min_partition(gram_matrix, num_parts):
         if value > best_value:
             best_parts, best_value = parts, value
     return best_parts, best_value
+
+
+# ---------------------------------------------------------------------------
+# sampled certification by a per-draw loop
+# ---------------------------------------------------------------------------
+
+def flat_sampled_values(gram_matrix, vectors, r, n, count, seed):
+    """Per-draw part bounds and witness of seeded random labelings.
+
+    gram_matrix is the Gram of the rows of vectors, passed in as the caller
+    computed it (eigvalsh reads one triangle, so its rounding matters). The
+    draws are the rows of Philox(seed) integers in [0, r), shape
+    (count, r*r*n). Yields (labels, bounds, value, k, achieved) per draw:
+    bounds per part (None when empty) from eigvalsh on the sorted principal
+    submatrix of the Gram, value their min; for each block k < r, the part
+    holding most of the block's r*n rows (ties to the lowest label) gives
+    rows whose band columns (k-1)(n-1) .. k(n-1)-1 a unit null vector
+    kills, chosen from a full SVD (singular values above 1e-10 of the
+    largest count toward the rank; largest first coordinate, ties to the
+    earliest) and combined with the rows. (k, achieved) is the block with
+    the smallest squared norm of that combination, ties to the first.
+    achieved is None when some block's largest intersection is below n.
+    """
+    g = np.asarray(gram_matrix)
+    v = np.asarray(vectors)
+    rn = r * n
+    rng = np.random.Generator(np.random.Philox(seed))
+    for labels in rng.integers(0, r, size=(count, r * rn)):
+        labels = [int(a) for a in labels]
+        parts = [[i for i, a in enumerate(labels) if a == j] for j in range(r)]
+        bounds = [float(np.linalg.eigvalsh(g[np.ix_(p, p)])[0]) if p else None
+                  for p in parts]
+        value = min(b for b in bounds if b is not None)
+        best_k, best = None, None
+        for k in range(1, r):
+            rows = max(([i for i in p if (k - 1) * rn <= i < k * rn] for p in parts), key=len)
+            if len(rows) < n:
+                best_k, best = None, None
+                break
+            sub = v[rows, :]
+            band = sub[:, (k - 1) * (n - 1):k * (n - 1)].T
+            if band.shape[0] == 0:
+                coeff = np.zeros(len(rows), dtype=complex)
+                coeff[0] = 1.0
+            else:
+                _, sv, vh = np.linalg.svd(band, full_matrices=True)
+                rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+                null = np.conj(vh[rank:])
+                coeff = null[int(np.argmax(np.abs(null[:, 0])))]
+                coeff = coeff / np.linalg.norm(coeff)
+            achieved = float(np.sum(np.abs(coeff @ sub) ** 2))
+            if best is None or achieved < best:
+                best_k, best = k, achieved
+        yield labels, bounds, value, best_k, best

@@ -195,6 +195,29 @@ def test_certify_count_only_for_sampled(tmp_path, capsys):
     assert "sampled" in err
 
 
+def test_certify_sampled_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "certify", "--r", "2", "--n", "2", "--mode", "sampled",
+                       "--count", "5", "--seed", "-1", "--out", str(out))
+    assert code == 1
+    assert err == "nonpaving: error: --seed must be >= 0\n"
+    assert not out.exists()
+
+
+def test_certify_internal_check_failure_is_exit_3(tmp_path, capsys, monkeypatch):
+    import nonpaving.paving_analysis as pa
+
+    # (3, 2) witnesses come within 0.05 of their delta, so they fail; the
+    # certify threshold, 0.9 - 0.05, stays above every drawn min-part bound
+    monkeypatch.setattr(pa, "WITNESS_TOL", -0.05)
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "certify", "--r", "3", "--n", "2", "--mode", "sampled",
+                       "--count", "50", "--seed", "1", "--out", str(out))
+    assert code == 3
+    assert err.startswith("nonpaving: internal check failed: witness achieved ")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # double
 # ---------------------------------------------------------------------------
@@ -220,6 +243,14 @@ def test_double_three_steps(tmp_path, capsys):
     assert report["restriction_identity_residual"] <= 1e-10
     assert report["passed"] is True
     assert read_matrix_csv(prefix + ".csv").shape == (64, 32)
+
+
+def test_double_negative_seed_is_usage_error(tmp_path, capsys):
+    code, _, err = run(capsys, "double", "--r", "2", "--n", "1", "--k", "1",
+                       "--seed", "-1", "--out", str(tmp_path / "d"))
+    assert code == 1
+    assert err == "nonpaving: error: --seed must be >= 0\n"
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_double_entry_budget_is_exit_4(tmp_path, capsys):
