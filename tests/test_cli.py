@@ -364,3 +364,51 @@ def test_usage_error_exit_code_via_subprocess():
     assert proc.returncode == 1, proc.stderr  # missing --n is a usage error, not argparse's 2
     # an import failure also exits 1; the message shows the parser ran
     assert "required: --n" in proc.stderr, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# single-flag usage errors and per-subcommand help
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--r", "1", "--n", "2"], "r must be >= 2"),
+    (["verify", "--r", "1", "--n", "2"], "r must be >= 2"),
+    (["certify", "--r", "1", "--n", "2"], "r must be >= 2"),
+    (["double", "--r", "1", "--n", "2", "--k", "1"], "r must be >= 2"),
+    (["sweep", "--r", "1", "--n-list", "1"], "r must be >= 2"),
+    (["build", "--r", "2", "--n", "0"], "n must be >= 1"),
+    (["double", "--r", "2", "--n", "1", "--k", "-1"], "doubling steps must be >= 0"),
+    (["certify", "--r", "2", "--n", "1", "--mode", "sampled", "--count", "0"],
+     "--count must be >= 1"),
+    (["certify", "--r", "2", "--n", "1", "--budget", "0"], "--budget must be positive"),
+    (["sweep", "--r", "2", "--n-list", "1", "--budget", "0"], "--budget must be positive"),
+    (["double", "--r", "2", "--n", "1", "--k", "1", "--entry-budget", "0"],
+     "--entry-budget must be positive"),
+    (["verify", "--r", "2", "--n", "1", "--tol-construct", "0"],
+     "tolerances must be positive"),
+    (["verify", "--r", "2", "--n", "1", "--tol-eig", "nan"], "tolerances must be positive"),
+    (["sweep", "--r", "2", "--n-list", "0"], "--n-list values must be >= 1"),
+])
+def test_single_flag_range_error_is_exit_1(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert message in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub, flags", [
+    ("build", ["--r", "--n", "--out"]),
+    ("verify", ["--in", "--r", "--n", "--out", "--tol-construct", "--tol-eig"]),
+    ("certify", ["--r", "--n", "--mode", "--count", "--seed", "--budget", "--out"]),
+    ("double", ["--r", "--n", "--k", "--seed", "--entry-budget", "--out"]),
+    ("sweep", ["--r", "--n-list", "--budget", "--out"]),
+])
+def test_subcommand_help_lists_its_flags(sub, flags):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonpaving", sub, "--help"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for flag in flags:
+        assert flag in proc.stdout, flag
