@@ -10,7 +10,6 @@ identical flags and seeds produce byte-identical files.
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,36 +45,9 @@ from .paving_analysis import (
 )
 from .serialize import dumps_json, format_real
 
-__all__ = ["RunConfig", "main", "console_entry"]
-
-DEFAULT_TOL_CONSTRUCT = 1e-10
-DEFAULT_TOL_EIG = 1e-8
-# Sweeps are meant to be interactive; exhaustive best-value search is only
-# attempted for sizes whose full enumeration stays under this many
-# assignments (raise with --budget for bigger exact sweeps).
-DEFAULT_SWEEP_BUDGET = 1 << 16
+__all__ = ["main", "console_entry"]
 
 _RESTRICTION_SAMPLES = 100
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for one CLI invocation."""
-
-    command: str
-    r: int | None = None
-    n: int | None = None
-    steps: int | None = None
-    mode: str | None = None
-    count: int | None = None
-    seed: int = 0
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET
-    entry_budget: int = DEFAULT_ENTRY_BUDGET
-    tol_construct: float = DEFAULT_TOL_CONSTRUCT
-    tol_eig: float = DEFAULT_TOL_EIG
-    input_path: str | None = None
-    out: str | None = None
-    n_list: tuple[int, ...] = ()
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,6 +59,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int_at_least(low: int, message: str):
+    """argparse type: an integer >= low, else a usage error saying `message`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError("tolerances must be positive")
+    return value
+
+
+_positive_float.__name__ = "float"  # keeps argparse's "invalid float value" wording
+
+
+def _n_list(text: str) -> tuple[int, ...]:
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    try:
+        values = tuple(int(t) for t in items)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--n-list must be comma-separated integers, got {text!r}"
+        ) from None
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError("--n-list values must be >= 1")
+    return values
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="nonpaving",
@@ -96,135 +103,80 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    r_type = _int_at_least(2, "r must be >= 2")
+    n_type = _int_at_least(1, "n must be >= 1")
+    budget_type = _int_at_least(1, "--budget must be positive")
 
     p = sub.add_parser("build", help="build an (r, n) family; write matrix CSV + JSON sidecar")
-    p.add_argument("--r", type=int, required=True, help="number of DFT blocks (>= 2)")
-    p.add_argument("--n", type=int, required=True, help="band size parameter (>= 1)")
+    p.add_argument("--r", type=r_type, required=True, help="number of DFT blocks (>= 2)")
+    p.add_argument("--n", type=n_type, required=True, help="band size parameter (>= 1)")
     p.add_argument("--out", help="output prefix (default family_r{r}_n{n})")
 
     p = sub.add_parser("verify", help="check unit rows, tightness, and the projection bridge")
     p.add_argument("--in", dest="input_path", help="matrix CSV to verify")
-    p.add_argument("--r", type=int, help="build this r in memory instead of reading a file")
-    p.add_argument("--n", type=int, help="build this n in memory instead of reading a file")
+    p.add_argument("--r", type=r_type, help="build this r in memory instead of reading a file")
+    p.add_argument("--n", type=n_type, help="build this n in memory instead of reading a file")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--tol-construct", type=float, default=DEFAULT_TOL_CONSTRUCT)
-    p.add_argument("--tol-eig", type=float, default=DEFAULT_TOL_EIG)
+    p.add_argument("--tol-construct", type=_positive_float, default=1e-10)
+    p.add_argument("--tol-eig", type=_positive_float, default=1e-8)
 
     p = sub.add_parser("certify", help="certify the family over partitions; write a certificate")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=r_type, required=True)
+    p.add_argument("--n", type=n_type, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    p.add_argument("--count", type=int, help="partitions to draw in sampled mode (default 1000)")
+    p.add_argument("--count", type=_int_at_least(1, "--count must be >= 1"),
+                   help="partitions to draw in sampled mode (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (sampled mode)")
-    p.add_argument("--budget", type=int, default=DEFAULT_ASSIGNMENT_BUDGET,
+    p.add_argument("--budget", type=budget_type, default=DEFAULT_ASSIGNMENT_BUDGET,
                    help="max assignments for exhaustive mode")
     p.add_argument("--out", help="certificate path (default certificate_r{r}_n{n}.json)")
 
     p = sub.add_parser("double", help="apply the doubling map K times; write matrix + report")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", dest="steps", type=int, required=True, help="doubling steps (>= 0)")
+    p.add_argument("--r", type=r_type, required=True)
+    p.add_argument("--n", type=n_type, required=True)
+    p.add_argument("--k", dest="steps", type=_int_at_least(0, "doubling steps must be >= 0"),
+                   required=True, help="doubling steps (>= 0)")
     p.add_argument("--seed", type=int, default=0, help="seed for restriction-identity probes")
-    p.add_argument("--entry-budget", type=int, default=DEFAULT_ENTRY_BUDGET)
+    p.add_argument("--entry-budget", type=_int_at_least(1, "--entry-budget must be positive"),
+                   default=DEFAULT_ENTRY_BUDGET)
     p.add_argument("--out", help="output prefix (default doubled_r{r}_n{n}_k{K})")
 
     p = sub.add_parser("sweep", help="tabulate deltas (and exact best bounds when cheap) over n")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n-list", required=True,
+    p.add_argument("--r", type=r_type, required=True)
+    p.add_argument("--n-list", type=_n_list, required=True,
                    help="comma-separated n values, e.g. 1,2,3,4 (may be empty)")
-    p.add_argument("--budget", type=int, default=DEFAULT_SWEEP_BUDGET,
+    # Sweeps are meant to be interactive: the exact best-value column is only
+    # filled for sizes whose full enumeration stays under this budget.
+    p.add_argument("--budget", type=budget_type, default=1 << 16,
                    help="max assignments for the exact best-value column")
     p.add_argument("--out", help="write the CSV table here instead of stdout")
 
     return parser
 
 
-def _parse_n_list(text: str) -> tuple[int, ...]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    try:
-        values = tuple(int(t) for t in items)
-    except ValueError:
-        raise ValueError(f"--n-list must be comma-separated integers, got {text!r}") from None
-    if any(v < 1 for v in values):
-        raise ValueError("--n-list values must be >= 1")
-    return values
-
-
-def _config_from_namespace(ns: argparse.Namespace) -> RunConfig:
-    command = ns.command
-    r = getattr(ns, "r", None)
-    n = getattr(ns, "n", None)
-    input_path = getattr(ns, "input_path", None)
-
-    if command == "verify":
-        if input_path is None and (r is None or n is None):
+def _check_args(ns: argparse.Namespace) -> None:
+    """Apply the rules that tie flags together; raise ValueError on a breach."""
+    if ns.command == "verify":
+        if ns.input_path is None and (ns.r is None or ns.n is None):
             raise ValueError("verify needs --in FILE or both --r and --n")
-        if input_path is not None and (r is not None or n is not None):
+        if ns.input_path is not None and (ns.r is not None or ns.n is not None):
             raise ValueError("verify takes --in or --r/--n, not both")
-    if r is not None and r < 2:
-        raise ValueError("r must be >= 2")
-    if n is not None and n < 1:
-        raise ValueError("n must be >= 1")
-
-    steps = getattr(ns, "steps", None)
-    if steps is not None and steps < 0:
-        raise ValueError("doubling steps must be >= 0")
-
-    mode = getattr(ns, "mode", None)
-    count = getattr(ns, "count", None)
-    if command == "certify":
-        if mode == "sampled" and count is None:
-            count = 1000
-        if mode == "exhaustive" and count is not None:
-            raise ValueError("--count applies only to sampled mode")
-        if count is not None and count < 1:
-            raise ValueError("--count must be >= 1")
-
-    seed = getattr(ns, "seed", 0)
-    if seed < 0 and (command == "double" or mode == "sampled"):
+    sampled = getattr(ns, "mode", None) == "sampled"
+    if ns.command == "certify" and not sampled and ns.count is not None:
+        raise ValueError("--count applies only to sampled mode")
+    if sampled and ns.count is None:
+        ns.count = 1000
+    if (ns.command == "double" or sampled) and ns.seed < 0:
         raise ValueError("--seed must be >= 0")
-
-    budget = getattr(ns, "budget", DEFAULT_ASSIGNMENT_BUDGET)
-    if budget < 1:
-        raise ValueError("--budget must be positive")
-    entry_budget = getattr(ns, "entry_budget", DEFAULT_ENTRY_BUDGET)
-    if entry_budget < 1:
-        raise ValueError("--entry-budget must be positive")
-
-    tol_construct = getattr(ns, "tol_construct", DEFAULT_TOL_CONSTRUCT)
-    tol_eig = getattr(ns, "tol_eig", DEFAULT_TOL_EIG)
-    if not (tol_construct > 0 and tol_eig > 0):
-        raise ValueError("tolerances must be positive")
-
-    n_list: tuple[int, ...] = ()
-    if command == "sweep":
-        n_list = _parse_n_list(ns.n_list)
-
-    return RunConfig(
-        command=command,
-        r=r,
-        n=n,
-        steps=steps,
-        mode=mode,
-        count=count,
-        seed=seed,
-        budget=budget,
-        entry_budget=entry_budget,
-        tol_construct=tol_construct,
-        tol_eig=tol_eig,
-        input_path=input_path,
-        out=getattr(ns, "out", None),
-        n_list=n_list,
-    )
 
 
 def _write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def cmd_build(cfg: RunConfig) -> int:
-    family = build_nonpavable_general(cfg.r, cfg.n)
-    prefix = cfg.out or f"family_r{cfg.r}_n{cfg.n}"
+def cmd_build(args: argparse.Namespace) -> int:
+    family = build_nonpavable_general(args.r, args.n)
+    prefix = args.out or f"family_r{args.r}_n{args.n}"
     matrix_path, sidecar_path = f"{prefix}.csv", f"{prefix}.json"
     write_matrix_csv(family.vectors, matrix_path)
     _write_text(sidecar_path, dumps_json(sidecar_dict(family)))
@@ -290,16 +242,16 @@ def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[
     return report, failed
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.input_path is not None:
-        matrix = read_matrix_csv(cfg.input_path)
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.input_path is not None:
+        matrix = read_matrix_csv(args.input_path)
     else:
-        matrix = build_nonpavable_general(cfg.r, cfg.n).vectors
-    report, failed = _verification_report(matrix, cfg.tol_construct, cfg.tol_eig)
+        matrix = build_nonpavable_general(args.r, args.n).vectors
+    report, failed = _verification_report(matrix, args.tol_construct, args.tol_eig)
     text = dumps_json(report)
-    if cfg.out:
-        _write_text(cfg.out, text)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        _write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     if failed:
@@ -308,31 +260,31 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_certify(cfg: RunConfig) -> int:
-    family = build_nonpavable_general(cfg.r, cfg.n)
+def cmd_certify(args: argparse.Namespace) -> int:
+    family = build_nonpavable_general(args.r, args.n)
     summary = certify_nonpavable(
-        family, cfg.mode, count=cfg.count, seed=cfg.seed, budget=cfg.budget
+        family, args.mode, count=args.count, seed=args.seed, budget=args.budget
     )
-    out = cfg.out or f"certificate_r{cfg.r}_n{cfg.n}.json"
+    out = args.out or f"certificate_r{args.r}_n{args.n}.json"
     _write_text(out, dumps_json(summary.to_json_dict()))
     print(f"wrote {out}")
     print(
-        f"certified r={cfg.r} n={cfg.n} over {summary.partitions_checked} partitions; "
+        f"certified r={args.r} n={args.n} over {summary.partitions_checked} partitions; "
         f"worst min-part bound {format_real(summary.worst_min_part_bound)}"
         + (" (vacuous: every delta is 1)" if summary.vacuous else "")
     )
     return 0
 
 
-def cmd_double(cfg: RunConfig) -> int:
-    seed_family = build_nonpavable_general(cfg.r, cfg.n)
-    doubled = doubled_family(seed_family, cfg.steps, entry_budget=cfg.entry_budget)
+def cmd_double(args: argparse.Namespace) -> int:
+    seed_family = build_nonpavable_general(args.r, args.n)
+    doubled = doubled_family(seed_family, args.steps, entry_budget=args.entry_budget)
 
     seed_max = float(np.max(np.abs(seed_family.vectors)))
     max_entry = float(np.max(np.abs(doubled.vectors)))
-    entry_bound = 2.0 ** (-cfg.steps / 2.0) * seed_max
+    entry_bound = 2.0 ** (-args.steps / 2.0) * seed_max
     offblock = gram_block_residual(doubled, seed_family)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.Generator(np.random.Philox(args.seed))
     M = seed_family.count
     probes = rng.standard_normal((_RESTRICTION_SAMPLES, M)) + 1j * rng.standard_normal(
         (_RESTRICTION_SAMPLES, M)
@@ -348,20 +300,20 @@ def cmd_double(cfg: RunConfig) -> int:
     if restriction > 1e-10:
         failed.append("restriction-identity")
 
-    prefix = cfg.out or f"doubled_r{cfg.r}_n{cfg.n}_k{cfg.steps}"
+    prefix = args.out or f"doubled_r{args.r}_n{args.n}_k{args.steps}"
     matrix_path, report_path = f"{prefix}.csv", f"{prefix}.json"
     write_matrix_csv(doubled.vectors, matrix_path)
     report = {
-        "r": cfg.r,
-        "n": cfg.n,
-        "steps": cfg.steps,
+        "r": args.r,
+        "n": args.n,
+        "steps": args.steps,
         "rows": doubled.count,
         "cols": doubled.dim,
         "max_entry": max_entry,
         "max_entry_bound": entry_bound,
         "gram_offblock_residual": offblock,
         "restriction_identity_residual": restriction,
-        "probe_seed": cfg.seed,
+        "probe_seed": args.seed,
         "failed_checks": list(failed),
         "passed": not failed,
     }
@@ -374,23 +326,23 @@ def cmd_double(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    header = ["n"] + [f"delta_{k}" for k in range(1, cfg.r + 1)] + ["best_min_part_riesz"]
+def cmd_sweep(args: argparse.Namespace) -> int:
+    header = ["n"] + [f"delta_{k}" for k in range(1, args.r + 1)] + ["best_min_part_riesz"]
     lines = [",".join(header)]
-    for n in cfg.n_list:
-        schedule = delta_schedule(cfg.r, n)
+    for n in args.n_list:
+        schedule = delta_schedule(args.r, n)
         best = ""
-        if cfg.r ** (cfg.r * cfg.r * n) <= cfg.budget:
-            family = build_nonpavable_general(cfg.r, n)
-            _, value = best_partition_riesz(family, cfg.r, budget=cfg.budget)
+        if args.r ** (args.r * args.r * n) <= args.budget:
+            family = build_nonpavable_general(args.r, n)
+            _, value = best_partition_riesz(family, args.r, budget=args.budget)
             best = format_real(value)
         lines.append(
             ",".join([str(n)] + [format_real(d) for d in schedule.deltas] + [best])
         )
     text = "\n".join(lines) + "\n"
-    if cfg.out:
-        _write_text(cfg.out, text)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        _write_text(args.out, text)
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -412,12 +364,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # remapped usage errors and --help
         return int(exc.code or 0)
     try:
-        cfg = _config_from_namespace(ns)
+        _check_args(ns)
     except ValueError as exc:
         print(f"nonpaving: error: {exc}", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns)
     except MatrixParseError as exc:
         print(f"nonpaving: parse error: {exc}", file=sys.stderr)
         return 2

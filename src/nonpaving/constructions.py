@@ -252,26 +252,13 @@ def build_nonpavable_general(r: int, n: int) -> StackedDftFrame:
 
 
 def build_nonpavable_r2(n: int) -> StackedDftFrame:
-    """Two-block special case, built directly from its closed-form weights.
+    """The two-block family, build_nonpavable_general(2, n).
 
     Top block: the 2n-point DFT with the first n-1 columns scaled by sqrt(2)
     and the rest by sqrt(2/(n+1)). Bottom block: first n-1 columns zeroed,
-    the rest scaled by sqrt(2n/(n+1)). Agrees with
-    build_nonpavable_general(2, n); both routes are kept and cross-checked
-    in tests.
+    the rest scaled by sqrt(2n/(n+1)).
     """
-    _validate_r_n(2, n)
-    base = dft_matrix(2 * n)
-    top = scale_columns(
-        base, [math.sqrt(2.0)] * (n - 1) + [math.sqrt(2.0 / (n + 1))] * (n + 1)
-    )
-    bottom = scale_columns(
-        base, [0.0] * (n - 1) + [math.sqrt(2.0 * n / (n + 1))] * (n + 1)
-    )
-    stack = np.vstack([top, bottom])
-    return StackedDftFrame(
-        stack, 2, n, delta_schedule(2, n), block_layout(2, n), claimed_tightness=2.0
-    )
+    return build_nonpavable_general(2, n)
 
 
 def doubling_step(family: FrameFamily) -> FrameFamily:

@@ -191,7 +191,7 @@ def read_matrix_csv(path) -> np.ndarray:
         rows, cols = int(head[0]), int(head[1])
     except ValueError:
         raise MatrixParseError(f"{path}: non-integer dimensions in header") from None
-    if rows < 0 or cols < 1:
+    if rows < 1 or cols < 1:
         raise MatrixParseError(f"{path}: bad dimensions {rows} x {cols}")
     body = lines[1:]
     if len(body) != rows:

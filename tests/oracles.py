@@ -107,6 +107,23 @@ def dft_by_loops(n):
     return out
 
 
+def closed_form_r2(n):
+    """The (2, n) family from its closed-form column weights, numpy only.
+
+    Top block: the 2n-point DFT with the first n-1 columns scaled by sqrt(2)
+    and the rest by sqrt(2/(n+1)). Bottom block: first n-1 columns zeroed,
+    the rest by sqrt(2n/(n+1)). The weights come from these formulas, not
+    from a delta schedule, and the arithmetic order matches the package's,
+    so agreement is expected to the bit, not just to a tolerance.
+    """
+    size = 2 * n
+    idx = np.arange(size)
+    base = np.exp((2j * np.pi / size) * ((idx[:, None] * idx[None, :]) % size)) / np.sqrt(size)
+    top = np.array([np.sqrt(2.0)] * (n - 1) + [np.sqrt(2.0 / (n + 1))] * (n + 1))
+    bottom = np.array([0.0] * (n - 1) + [np.sqrt(2.0 * n / (n + 1))] * (n + 1))
+    return np.vstack([base * top, base * bottom])
+
+
 # ---------------------------------------------------------------------------
 # exact rational values for the column-weight schedule
 # ---------------------------------------------------------------------------

@@ -114,6 +114,15 @@ def test_verify_unparsable_file_is_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_verify_empty_matrix_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("# 0 3\n")
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err
+
+
 def test_verify_rejects_conflicting_inputs(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", "whatever.csv", "--r", "2", "--n", "2")
     assert code == 1
@@ -167,6 +176,14 @@ def test_certify_sampled_r3_n2(tmp_path, capsys):
     assert cert["partitions_checked"] == 1000
     assert cert["seed"] == 1
     assert cert["worst_min_part_bound"] <= 0.9 + 1e-8
+
+
+def test_certify_sampled_count_defaults_to_1000(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    code, _, _ = run(capsys, "certify", "--r", "2", "--n", "1", "--mode", "sampled",
+                     "--out", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["partitions_checked"] == 1000
 
 
 def test_certify_vacuous_flag(tmp_path, capsys):
@@ -388,6 +405,8 @@ def test_usage_error_exit_code_via_subprocess():
      "tolerances must be positive"),
     (["verify", "--r", "2", "--n", "1", "--tol-eig", "nan"], "tolerances must be positive"),
     (["sweep", "--r", "2", "--n-list", "0"], "--n-list values must be >= 1"),
+    (["build", "--r", "two", "--n", "1"], "invalid int value: 'two'"),
+    (["verify", "--r", "2", "--n", "1", "--tol-eig", "tiny"], "invalid float value: 'tiny'"),
 ])
 def test_single_flag_range_error_is_exit_1(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))

@@ -24,7 +24,7 @@ from nonpaving import (
     FrameFamily,
 )
 
-from oracles import delta_fraction, partial_sum_fraction
+from oracles import closed_form_r2, delta_fraction, partial_sum_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +175,14 @@ def test_r2_special_case_equals_general_route(n):
     npt.assert_array_equal(
         build_nonpavable_r2(n).vectors, build_nonpavable_general(2, n).vectors
     )
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_closed_form_r2_oracle_equals_general_route(n):
+    """The numpy-only closed form and the general stack agree bitwise."""
+    expected = build_nonpavable_general(2, n).vectors
+    got = closed_form_r2(n)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def test_general_r3_n2_shape_and_sums():

@@ -239,6 +239,13 @@ def test_csv_rejects_garbage_entry(tmp_path):
         read_matrix_csv(path)
 
 
+def test_csv_rejects_zero_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# 0 3\n")
+    with pytest.raises(MatrixParseError, match="bad dimensions 0 x 3"):
+        read_matrix_csv(path)
+
+
 def test_csv_write_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         write_matrix_csv(np.array([[np.inf + 0j]]), tmp_path / "never.csv")
