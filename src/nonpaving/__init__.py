@@ -54,15 +54,12 @@ from .matrix_core import (
 from .paving_analysis import (
     CertificationSummary,
     Partition,
-    PavingReport,
     RieszCertificate,
     Witness,
     best_partition_riesz,
     certify_nonpavable,
     enumerate_partitions,
     partition_from_assignment,
-    paving_norm,
-    paving_report,
     riesz_lower_bound,
     witness_coefficients,
 )
@@ -109,15 +106,12 @@ __all__ = [
     "Witness",
     "RieszCertificate",
     "CertificationSummary",
-    "PavingReport",
     "partition_from_assignment",
     "enumerate_partitions",
     "riesz_lower_bound",
-    "paving_norm",
     "best_partition_riesz",
     "witness_coefficients",
     "certify_nonpavable",
-    "paving_report",
     # errors
     "InternalInconsistencyError",
     "ResourceLimitError",

@@ -29,7 +29,7 @@ from .errors import (
     MatrixParseError,
     ResourceLimitError,
 )
-from .frame_ops import FrameFamily, is_tight_frame
+from .frame_ops import FrameFamily, is_tight_frame, projection_failures, projection_numbers
 from .matrix_core import (
     col_square_sums,
     column_orthogonality_defect,
@@ -210,25 +210,8 @@ def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[
     projection_check = None
     if tight is not None and tight > 0:
         P = gram(np.asarray(matrix) / math.sqrt(tight))
-        idem = float(np.max(np.abs(P @ P - P)))
-        trace = float(np.trace(P).real)
-        rank = round(trace)
-        diag = np.diag(P).real
-        diag_mean = float(np.mean(diag))
-        diag_dev = float(np.max(np.abs(diag - 1.0 / tight)))
-        if idem > tol_eig:
-            failed.append("projection-idempotency")
-        if diag_dev > tol_construct:
-            failed.append("projection-diagonal")
-        if abs(trace - rank) > 1e-6 or rank != matrix.shape[1]:
-            failed.append("projection-rank")
-        projection_check = {
-            "idempotency_residual": idem,
-            "diag": diag_mean,
-            "diag_deviation": diag_dev,
-            "rank": int(rank),
-            "trace": trace,
-        }
+        projection_check = projection_numbers(P, 1.0 / tight)
+        failed += projection_failures(projection_check, matrix.shape[1], tol_eig, tol_construct)
 
     report = {
         "orthogonality_defect": defect,

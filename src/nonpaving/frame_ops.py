@@ -30,6 +30,8 @@ __all__ = [
     "ProjectionMatrix",
     "frame_bounds",
     "is_tight_frame",
+    "projection_numbers",
+    "projection_failures",
     "projection_from_tight_frame",
     "complement_duality_check",
 ]
@@ -82,8 +84,8 @@ class ProjectionMatrix:
     """A Hermitian idempotent matrix with its rank and optional constant diagonal.
 
     Construction validates Hermitian structure, idempotency (max|P^2 - P|
-    below 1e-8), and, when diag_constant is given, that every diagonal entry
-    matches it within 1e-10.
+    below 1e-8), a trace within 1e-6 of the rank, and, when diag_constant is
+    given, that every diagonal entry matches it within 1e-10.
     """
 
     matrix: np.ndarray
@@ -93,22 +95,51 @@ class ProjectionMatrix:
     def __post_init__(self):
         P = require_hermitian(self.matrix)
         object.__setattr__(self, "matrix", P)
-        residual = float(np.max(np.abs(P @ P - P))) if P.size else 0.0
-        if residual > 1e-8:
-            raise ValueError(f"matrix is not idempotent: max|P^2 - P| = {residual:.3e}")
-        if not (0 <= int(self.rank) <= P.shape[0]):
-            raise ValueError(f"rank {self.rank} out of range for dimension {P.shape[0]}")
         object.__setattr__(self, "rank", int(self.rank))
         if self.diag_constant is not None:
-            c = float(self.diag_constant)
-            dev = float(np.max(np.abs(np.diag(P).real - c)))
-            if dev > 1e-10:
-                raise ValueError(f"diagonal deviates from {c} by {dev:.3e}")
-            object.__setattr__(self, "diag_constant", c)
+            object.__setattr__(self, "diag_constant", float(self.diag_constant))
+        numbers = projection_numbers(P, self.diag_constant)
+        failed = projection_failures(numbers, self.rank, 1e-8, 1e-10)
+        if failed:
+            raise ValueError(f"not a rank-{self.rank} projection: {', '.join(failed)} {numbers}")
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def projection_numbers(P: np.ndarray, diag_target: float | None) -> dict:
+    """How far a Hermitian P (at least 1 x 1) is from a projection.
+
+    Returns idempotency_residual (max|P^2 - P|), diag (mean diagonal entry),
+    diag_deviation (max|P_ii - diag_target|, None without a target), rank
+    (the integer nearest the trace) and trace.
+    """
+    diag = np.diag(P).real
+    trace = float(np.trace(P).real)
+    deviation = None if diag_target is None else float(np.max(np.abs(diag - diag_target)))
+    return {
+        "idempotency_residual": float(np.max(np.abs(P @ P - P))),
+        "diag": float(np.mean(diag)),
+        "diag_deviation": deviation,
+        "rank": round(trace),
+        "trace": trace,
+    }
+
+
+def projection_failures(numbers: dict, rank: int, idem_tol: float, diag_tol: float) -> list[str]:
+    """Names of the checks failed by `numbers`, a projection_numbers result.
+
+    The trace must lie within 1e-6 of `rank`; the diagonal is checked only
+    when projection_numbers was given a target.
+    """
+    deviation = numbers["diag_deviation"]
+    checks = {
+        "projection-idempotency": numbers["idempotency_residual"] > idem_tol,
+        "projection-diagonal": deviation is not None and deviation > diag_tol,
+        "projection-rank": abs(numbers["trace"] - rank) > 1e-6,
+    }
+    return [name for name, bad in checks.items() if bad]
 
 
 def frame_bounds(family: FrameFamily) -> tuple[float, float]:
@@ -176,9 +207,9 @@ def projection_from_tight_frame(family: FrameFamily, tightness: float) -> Projec
     """Orthogonal projection spanned by a tight family: gram of rows / sqrt(tightness).
 
     Requires the family to be tight with the given constant within 1e-8.
-    The result has rank d (trace is validated against its rounding and the
-    ambient dimension); when the family is unit-norm the diagonal is the
-    constant 1/tightness.
+    The result has rank d (ProjectionMatrix raises ValueError when the trace
+    is not within 1e-6 of d); when the family is unit-norm the diagonal is
+    the constant 1/tightness.
     """
     if not tightness > 0:
         raise ValueError("tightness must be positive")
@@ -189,17 +220,9 @@ def projection_from_tight_frame(family: FrameFamily, tightness: float) -> Projec
             + (f" (measured constant {a})" if a is not None else "")
         )
     P = gram(family.vectors / math.sqrt(tightness))
-    trace = float(np.trace(P).real)
-    rank = round(trace)
-    if abs(trace - rank) > 1e-6:
-        raise InternalInconsistencyError(f"projection trace {trace} is not near an integer")
-    if rank != family.dim:
-        raise InternalInconsistencyError(
-            f"projection rank {rank} does not match ambient dimension {family.dim}"
-        )
     unit_rows = float(np.max(np.abs(row_square_sums(family.vectors) - 1.0))) <= 1e-10
     diag_constant = 1.0 / tightness if unit_rows else None
-    return ProjectionMatrix(P, rank, diag_constant)
+    return ProjectionMatrix(P, family.dim, diag_constant)
 
 
 def _validate_subset(subset, dim: int) -> list[int]:

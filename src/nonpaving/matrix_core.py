@@ -121,17 +121,10 @@ def gram(f) -> np.ndarray:
     return _frozen(G)
 
 
-def hermitian_extremal_eig(h, which: str, tol: float = 1e-8) -> float:
-    """Smallest or largest eigenvalue of a Hermitian matrix.
-
-    which is "min" or "max". tol is the accuracy the caller requires; the
-    full symmetric eigensolve used here is accurate to machine precision at
-    the dimensions this package works with, far inside any positive tol.
-    """
+def hermitian_extremal_eig(h, which: str) -> float:
+    """Smallest (which="min") or largest (which="max") eigenvalue of a Hermitian matrix."""
     if which not in ("min", "max"):
         raise ValueError(f'which must be "min" or "max", got {which!r}')
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     H = require_hermitian(h)
     if H.shape[0] == 0:
         raise ValueError("matrix must be at least 1 x 1")
@@ -166,8 +159,11 @@ def write_matrix_csv(a, path) -> None:
 
     Entries are serialized as re{sign}imj tokens (e.g. 0.5-0.5j) with 17
     significant digits, so files are byte-stable and round-trip exactly.
+    A matrix with no rows or columns raises ValueError: the reader refuses it.
     """
     A = as_complex_matrix(a)
+    if A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError(f"cannot write a {A.shape[0]} x {A.shape[1]} matrix: need at least 1 x 1")
     lines = [f"# {A.shape[0]} {A.shape[1]}"]
     for row in A:
         lines.append(",".join(format_complex(z) for z in row))

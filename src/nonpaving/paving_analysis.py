@@ -29,7 +29,7 @@ import numpy as np
 from .constructions import StackedDftFrame
 from .errors import CertificationError, InternalInconsistencyError, ResourceLimitError
 from .frame_ops import FrameFamily, _validate_subset
-from .matrix_core import as_complex_matrix, gram
+from .matrix_core import gram
 
 __all__ = [
     "DEFAULT_ASSIGNMENT_BUDGET",
@@ -38,15 +38,12 @@ __all__ = [
     "Witness",
     "RieszCertificate",
     "CertificationSummary",
-    "PavingReport",
     "partition_from_assignment",
     "enumerate_partitions",
     "riesz_lower_bound",
-    "paving_norm",
     "best_partition_riesz",
     "witness_coefficients",
     "certify_nonpavable",
-    "paving_report",
 ]
 
 # Largest number of labeled assignments an exhaustive walk may visit.
@@ -171,19 +168,6 @@ def riesz_lower_bound(family: FrameFamily, subset) -> float:
     """
     idx = _validate_subset(subset, family.count)
     return _eig_min(gram(family.vectors[idx, :]))
-
-
-def paving_norm(operator, subset) -> float:
-    """Operator norm of a principal submatrix, via sqrt(lambda_max(S^* S))."""
-    T = as_complex_matrix(operator)
-    if T.shape[0] != T.shape[1]:
-        raise ValueError(f"operator must be square, got shape {T.shape}")
-    idx = _validate_subset(subset, T.shape[0])
-    S = T[np.ix_(idx, idx)]
-    H = S.conj().T @ S
-    H = 0.5 * (H + H.conj().T)
-    lam = float(np.linalg.eigvalsh(H)[-1])
-    return float(np.sqrt(max(lam, 0.0)))
 
 
 def _part_bounds(G: np.ndarray, partition: Partition) -> tuple[list, float]:
@@ -736,32 +720,3 @@ def certify_nonpavable(
         vacuous=family.vacuous,
         certificate=certificate,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class PavingReport:
-    """Per-part compressed operator norms for one partition of an operator."""
-
-    operator_id: str
-    partition: Partition
-    part_norms: tuple
-    max_norm: float
-
-
-def paving_report(operator, partition: Partition, operator_id: str = "") -> PavingReport:
-    """Compress `operator` to each part and record the norms (None if empty)."""
-    T = as_complex_matrix(operator)
-    if T.shape[0] != T.shape[1]:
-        raise ValueError(f"operator must be square, got shape {T.shape}")
-    if partition.size != T.shape[0]:
-        raise ValueError("partition does not cover the operator's indices")
-    norms: list[float | None] = []
-    worst = 0.0
-    for p in partition.parts:
-        if not p:
-            norms.append(None)
-            continue
-        norm = paving_norm(T, p)
-        norms.append(norm)
-        worst = max(worst, norm)
-    return PavingReport(operator_id, partition, tuple(norms), worst)

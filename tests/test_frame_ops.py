@@ -190,8 +190,10 @@ def test_projection_matrix_validates_diag_constant():
 
 
 def test_projection_matrix_validates_rank_range():
-    with pytest.raises(ValueError):
-        ProjectionMatrix(np.eye(2, dtype=complex), 3)
+    # the rank must be in range and match the trace
+    for matrix, rank in [(np.eye(2), 3), (np.eye(3), 0), (np.zeros((2, 2)), 2)]:
+        with pytest.raises(ValueError):
+            ProjectionMatrix(matrix.astype(complex), rank)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import json
 import math
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from nonpaving import (
@@ -20,13 +19,11 @@ from nonpaving import (
     enumerate_partitions,
     gram,
     partition_from_assignment,
-    paving_norm,
-    paving_report,
     riesz_lower_bound,
     witness_coefficients,
 )
 
-from oracles import distinct_partition_count, jacobi_hermitian_eigenvalues
+from oracles import distinct_partition_count
 
 
 # ---------------------------------------------------------------------------
@@ -135,36 +132,6 @@ def test_riesz_bound_collapses_on_top_block_rows(n):
     """Any n rows of the first block admit a small combination: <= 2/(n+1)."""
     fam = build_nonpavable_r2(n)
     assert riesz_lower_bound(fam, range(n)) <= 2.0 / (n + 1) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# paving_norm
-# ---------------------------------------------------------------------------
-
-def test_paving_norm_singleton_of_complement():
-    t = np.eye(2, dtype=complex) - np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert paving_norm(t, [0]) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_paving_norm_sees_only_the_submatrix():
-    t1 = np.diag([1.0, 2.0, 99.0]).astype(complex)
-    t2 = t1.copy()
-    t2[0, 2] = 7.0
-    t2[2, 0] = -3.0
-    assert paving_norm(t1, [0, 1]) == paving_norm(t2, [0, 1]) == pytest.approx(2.0)
-
-
-def test_paving_norm_full_subset_matches_spectral_radius():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = (a + a.conj().T) / 2.0
-    want = max(abs(x) for x in jacobi_hermitian_eigenvalues(h))
-    assert paving_norm(h, range(6)) == pytest.approx(want, abs=1e-8)
-
-
-def test_paving_norm_rejects_non_square():
-    with pytest.raises(ValueError):
-        paving_norm(np.ones((2, 3)), [0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +331,3 @@ def test_certification_json_shape():
     assert len(wit["coefficients"]) == len(wit["indices"])
     norm = math.fsum(re * re + im * im for re, im in wit["coefficients"])
     assert abs(norm - 1.0) <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# paving_report
-# ---------------------------------------------------------------------------
-
-def test_paving_report_on_complement_of_projection():
-    t = np.eye(2, dtype=complex) - np.array([[0.5, 0.5], [0.5, 0.5]])
-    report = paving_report(t, partition_from_assignment([0, 1], 2), operator_id="demo")
-    assert report.operator_id == "demo"
-    npt.assert_allclose(report.part_norms, (0.5, 0.5), atol=1e-12)
-    assert report.max_norm == pytest.approx(0.5, abs=1e-12)
-
-
-def test_paving_report_keeps_empty_parts_absent():
-    t = np.eye(2, dtype=complex)
-    report = paving_report(t, Partition(((0, 1), ())))
-    assert report.part_norms == (1.0, None)
-    assert report.max_norm == pytest.approx(1.0)
-
-
-def test_paving_report_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        paving_report(np.eye(3, dtype=complex), partition_from_assignment([0, 1], 2))
