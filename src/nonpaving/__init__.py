@@ -58,7 +58,6 @@ from .paving_analysis import (
     Witness,
     best_partition_riesz,
     certify_nonpavable,
-    enumerate_partitions,
     partition_from_assignment,
     riesz_lower_bound,
     witness_coefficients,
@@ -107,7 +106,6 @@ __all__ = [
     "RieszCertificate",
     "CertificationSummary",
     "partition_from_assignment",
-    "enumerate_partitions",
     "riesz_lower_bound",
     "best_partition_riesz",
     "witness_coefficients",

@@ -208,7 +208,7 @@ def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[
         failed.append("tightness")
 
     projection_check = None
-    if tight is not None and tight > 0:
+    if tight is not None:
         P = gram(np.asarray(matrix) / math.sqrt(tight))
         projection_check = projection_numbers(P, 1.0 / tight)
         failed += projection_failures(projection_check, matrix.shape[1], tol_eig, tol_construct)

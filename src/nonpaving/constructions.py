@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .frame_ops import FrameFamily
-from .matrix_core import as_complex_matrix, dft_matrix, gram, scale_columns
+from .matrix_core import dft_matrix, gram, scale_columns
 
 __all__ = [
     "DEFAULT_ENTRY_BUDGET",
@@ -182,30 +182,22 @@ class BlockLayout:
         return range(b.zero_width, b.zero_width + b.band_width)
 
 
-def _guarded_sqrt(v: float, what: str) -> float:
-    # Tiny negative values are floating-point noise; anything worse is a bug
-    # in the schedule and must not be silently clamped.
-    if v < -1e-12:
-        raise ValueError(f"{what} is negative ({v}), cannot take square root")
-    return math.sqrt(max(v, 0.0))
+def block_layout(r: int, n: int) -> BlockLayout:
+    """Column layout for the (r, n) stacked family.
 
-
-def block_layout(r: int, n: int, schedule: DeltaSchedule | None = None) -> BlockLayout:
-    """Column layout for the (r, n) stacked family."""
-    _validate_r_n(r, n)
-    if schedule is None:
-        schedule = delta_schedule(r, n)
-    if (schedule.r, schedule.n) != (r, n):
-        raise ValueError("schedule does not match r, n")
+    Every square root is of a positive number: DeltaSchedule proves each
+    delta positive and each proper partial sum below r.
+    """
+    schedule = delta_schedule(r, n)
     width = r * n
     blocks = []
     for k in range(1, r):
         zero = (k - 1) * (n - 1)
-        band_w = _guarded_sqrt(schedule.residual_weight_sq(k), f"residual weight {k}")
-        tail_w = _guarded_sqrt(schedule.deltas[k - 1], f"delta_{k}")
+        band_w = math.sqrt(schedule.residual_weight_sq(k))
+        tail_w = math.sqrt(schedule.deltas[k - 1])
         blocks.append(BlockBands(zero, n - 1, band_w, width - k * (n - 1), tail_w))
     zero = (r - 1) * (n - 1)
-    tail_w = _guarded_sqrt(schedule.deltas[r - 1], f"delta_{r}")
+    tail_w = math.sqrt(schedule.deltas[r - 1])
     blocks.append(BlockBands(zero, 0, 0.0, width - zero, tail_w))
     return BlockLayout(r, n, tuple(blocks))
 
@@ -245,7 +237,7 @@ def build_nonpavable_general(r: int, n: int) -> StackedDftFrame:
     """
     _validate_r_n(r, n)
     schedule = delta_schedule(r, n)
-    layout = block_layout(r, n, schedule)
+    layout = block_layout(r, n)
     base = dft_matrix(r * n)
     stack = np.vstack([scale_columns(base, layout.column_weights(k)) for k in range(1, r + 1)])
     return StackedDftFrame(stack, r, n, schedule, layout, claimed_tightness=float(r))
@@ -266,11 +258,12 @@ def doubling_step(family: FrameFamily) -> FrameFamily:
 
     Doubles count and dimension, multiplies every entry by 1/sqrt(2),
     preserves row norms and frame bounds exactly, and makes the Gram two
-    diagonal copies of the input Gram.
+    diagonal copies of the input Gram. The result carries no tightness
+    claim, so doubling runs no eigensolve.
     """
     V = family.vectors
     out = np.block([[V, V], [V, -V]]) / math.sqrt(2.0)
-    return FrameFamily(out, claimed_tightness=family.claimed_tightness)
+    return FrameFamily(out)
 
 
 def doubled_family(

@@ -162,7 +162,8 @@ def _classify_tightness(spread, a_spec, col_dev, a_col, tol):
     """Combine the spectral and column tightness verdicts.
 
     Both pass -> tight, return the spectral constant (the constants must
-    agree within 10*tol). Both fail -> not tight. Split verdicts are
+    agree within 10*tol), unless it is not positive: a zero family spans
+    nothing and is not tight. Both fail -> not tight. Split verdicts are
     tolerated while the failing side is within 10*tol, beyond which the two
     mathematically equivalent characterizations have genuinely diverged and
     an InternalInconsistencyError is raised.
@@ -174,7 +175,7 @@ def _classify_tightness(spread, a_spec, col_dev, a_col, tol):
             raise InternalInconsistencyError(
                 f"tightness constants disagree: spectral {a_spec} vs columns {a_col}"
             )
-        return a_spec
+        return a_spec if a_spec > 0 else None
     if tight_spec != tight_col:
         if max(spread, col_dev) > 10 * tol:
             raise InternalInconsistencyError(
@@ -186,6 +187,8 @@ def _classify_tightness(spread, a_spec, col_dev, a_col, tol):
 
 def is_tight_frame(family: FrameFamily, tol: float = FRAME_CONFIRM_TOL) -> float | None:
     """Return the tightness constant if the family is tight within tol, else None.
+
+    The constant is always positive: the zero family is not tight.
 
     Tightness is decided spectrally (frame-bound spread <= tol) and
     cross-checked against the column characterization (orthogonal columns,

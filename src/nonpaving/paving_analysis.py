@@ -17,12 +17,12 @@ reports, while computing a few thousand part bounds for (2, 4) instead of
 two per partition. Sampled certification keeps its draws as one label
 array and checks them with stacked eigensolves and SVDs, grouped by part
 size (`_sampled_part_bounds`, `_sampled_witnesses`); every value is bit for
-bit what the per-partition functions compute.
+bit what `riesz_lower_bound` and `witness_coefficients` compute.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "RieszCertificate",
     "CertificationSummary",
     "partition_from_assignment",
-    "enumerate_partitions",
     "riesz_lower_bound",
     "best_partition_riesz",
     "witness_coefficients",
@@ -128,34 +127,6 @@ def _check_assignment_budget(size: int, num_parts: int, budget: int) -> int:
     return total
 
 
-def enumerate_partitions(
-    size: int,
-    num_parts: int,
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-    canonical: bool = False,
-):
-    """Iterate every assignment of {0..size-1} to num_parts labeled parts.
-
-    Assignments are visited in lexicographic order of their label tuples
-    (index 0 most significant), each exactly once: num_parts**size in total.
-    With canonical=True, index 0 is pinned to part 0, which removes label
-    permutations entirely for two parts (for more parts it only removes
-    those moving index 0's part). The budget is checked eagerly against
-    num_parts**size and exceeding it raises ResourceLimitError.
-    """
-    _check_assignment_budget(size, num_parts, budget)
-
-    def _walk():
-        if canonical:
-            for rest in product(range(num_parts), repeat=size - 1):
-                yield partition_from_assignment((0,) + rest, num_parts)
-        else:
-            for labels in product(range(num_parts), repeat=size):
-                yield partition_from_assignment(labels, num_parts)
-
-    return _walk()
-
-
 def _eig_min(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
@@ -165,26 +136,12 @@ def riesz_lower_bound(family: FrameFamily, subset) -> float:
 
     Equals min over unit coefficient vectors a of || sum_i a_i f_i ||^2, so
     a small value exhibits a near-dependence among the selected vectors.
+    It is taken from the principal submatrix of the full family's Gram at
+    the sorted indices, the formula every part bound in this module uses,
+    so it equals a certificate's per-part bound bit for bit.
     """
     idx = _validate_subset(subset, family.count)
-    return _eig_min(gram(family.vectors[idx, :]))
-
-
-def _part_bounds(G: np.ndarray, partition: Partition) -> tuple[list, float]:
-    """Per-part Riesz bounds from a precomputed full Gram (None for empty parts)."""
-    bounds: list[float | None] = []
-    worst = None
-    for p in partition.parts:
-        if not p:
-            bounds.append(None)
-            continue
-        idx = list(p)
-        b = _eig_min(G[np.ix_(idx, idx)])
-        bounds.append(b)
-        worst = b if worst is None else min(worst, b)
-    if worst is None:
-        raise ValueError("partition has no nonempty part")
-    return bounds, worst
+    return _eig_min(gram(family.vectors)[np.ix_(idx, idx)])
 
 
 def _prune_margin(G: np.ndarray) -> float:
@@ -213,7 +170,7 @@ class _SearchResult:
 
     partition is the first maximizer in lexicographic label order,
     part_bounds its per-part bounds (None for empty parts) and value their
-    minimum, all exactly as `_part_bounds` computes them; nodes counts the
+    minimum, all exactly as `riesz_lower_bound` computes them; nodes counts the
     label prefixes examined and eigensolves the part bounds computed.
     """
 
@@ -233,11 +190,12 @@ def _partition_search(
     """Max over labeled partitions of the min nonempty-part Riesz bound.
 
     Branch-and-bound over label prefixes, depth first, children in label
-    order, so leaves come in the lexicographic order of
-    `enumerate_partitions`. Rows are appended in index order, so each
-    part's index list stays sorted and its bound is computed from the same
-    `G[np.ix_(idx, idx)]` that `_part_bounds` uses; a leaf's value is the
-    min of those per-part values, bit for bit the flat walk's value.
+    order, so leaves come in the lexicographic order of their label tuples
+    (index 0 most significant), as in a flat walk over every assignment.
+    Rows are appended in index order, so each part's index list stays
+    sorted and its bound is computed from the same `G[np.ix_(idx, idx)]`
+    that `riesz_lower_bound` uses; a leaf's value is the min of those
+    per-part values, bit for bit the flat walk's value.
 
     A prefix whose nonempty parts' min, plus `_prune_margin(G)`, is at or
     below the best leaf so far is not extended: no leaf below it can be
@@ -561,7 +519,7 @@ def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> n
     labels is (count, M); the result is (count, num_parts). Parts of equal
     size are gathered into (B, s, s) stacks of principal submatrices and
     solved by one eigvalsh call per stack, which gives each the bits
-    `_part_bounds` computes for it.
+    `riesz_lower_bound` computes for it.
     """
     bounds = np.full((labels.shape[0], num_parts), np.inf)
     for j in range(num_parts):
@@ -615,13 +573,12 @@ def _sampled_witnesses(
 
 
 def _raise_first_sampled_failure(
-    family: StackedDftFrame, G: np.ndarray, labels: np.ndarray, threshold: float
+    family: StackedDftFrame, labels: np.ndarray, value: float, threshold: float
 ) -> None:
-    """Re-check the first failing draw one partition at a time and raise
-    what that check raises: a bound above the threshold before a bad
-    witness, as certifying the draws one by one would."""
+    """Raise what checking the first failing draw on its own raises: a
+    min-part bound `value` above the threshold before a bad witness, as
+    certifying the draws one by one would."""
     partition = partition_from_assignment(labels, family.r)
-    _, value = _part_bounds(G, partition)
     if value > threshold:
         raise CertificationError(
             f"partition keeps min-part bound {value} above {threshold}",
@@ -693,7 +650,8 @@ def certify_nonpavable(
         deltas = np.array(family.schedule.deltas)
         failed = (values > threshold) | (achieved > deltas[witness_k - 1] + WITNESS_TOL)
         if failed.any():
-            _raise_first_sampled_failure(family, G, labels[failed.argmax()], threshold)
+            first = failed.argmax()
+            _raise_first_sampled_failure(family, labels[first], float(values[first]), threshold)
         checked = int(count)
         worst = int(values.argmax())
         worst_partition = partition_from_assignment(labels[worst], r)

@@ -139,27 +139,6 @@ def partial_sum_fraction(r, n, k):
 
 
 # ---------------------------------------------------------------------------
-# partition counting by brute force
-# ---------------------------------------------------------------------------
-
-def distinct_partition_count(size, num_parts):
-    """Number of partitions of {0..size-1} into <= num_parts unlabeled parts.
-
-    Counted the dumb way: run over all labeled assignments and deduplicate
-    by the set of nonempty parts.
-    """
-    seen = set()
-    for assignment in itertools.product(range(num_parts), repeat=size):
-        parts = []
-        for label in range(num_parts):
-            members = frozenset(i for i, a in enumerate(assignment) if a == label)
-            if members:
-                parts.append(members)
-        seen.add(frozenset(parts))
-    return len(seen)
-
-
-# ---------------------------------------------------------------------------
 # max-min partition search by the flat walk over every labeling
 # ---------------------------------------------------------------------------
 

@@ -101,6 +101,18 @@ def test_verify_corrupted_entry_names_column_check(tmp_path, capsys):
     assert "column-square-sums" in err
 
 
+def test_verify_zero_matrix_is_not_tight(tmp_path, capsys):
+    path = tmp_path / "zero.csv"
+    write_matrix_csv(np.zeros((3, 2)), path)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 3
+    report = json.loads(out)
+    assert report["failed_checks"] == ["row-square-sums", "tightness"]
+    assert report["tight_constant"] is None
+    assert report["projection_check"] is None
+    assert "tightness" in err
+
+
 def test_verify_missing_file_is_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--in", "/nonexistent/m.csv")
     assert code == 2

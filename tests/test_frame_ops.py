@@ -112,6 +112,8 @@ def test_built_families_are_r_tight(r, n):
 def test_non_tight_family_returns_none():
     f = FrameFamily(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex))
     assert is_tight_frame(f) is None
+    # equal (zero) frame bounds, but a zero family spans nothing
+    assert is_tight_frame(FrameFamily(np.zeros((3, 2)))) is None
 
 
 def test_tol_must_be_positive():

@@ -7,6 +7,8 @@ certificates. Witnesses are checked once per block subset; that table must
 hold exactly the witnesses the per-partition call builds.
 """
 
+import itertools
+import json
 from math import comb
 from pathlib import Path
 
@@ -21,8 +23,9 @@ from nonpaving import (
     best_partition_riesz,
     build_nonpavable_general,
     certify_nonpavable,
-    enumerate_partitions,
     gram,
+    partition_from_assignment,
+    riesz_lower_bound,
     witness_coefficients,
 )
 from nonpaving.cli import main
@@ -83,11 +86,25 @@ def test_part_bounds_match_flat_evaluation(r, n):
     """A leaf's value is the min of freshly computed part bounds; a running
     min over the prefixes reads 0.39999999999999986 for (2, 4), not
     0.40000000000000013."""
-    G = gram(build_nonpavable_general(r, n).vectors)
-    result = pa._partition_search(G, r)
-    bounds, value = pa._part_bounds(G, result.partition)
-    assert result.part_bounds == tuple(bounds)
-    assert result.value == value
+    family = build_nonpavable_general(r, n)
+    result = pa._partition_search(gram(family.vectors), r)
+    bounds = tuple(riesz_lower_bound(family, p) if p else None for p in result.partition.parts)
+    assert result.part_bounds == bounds
+    assert result.value == min(b for b in bounds if b is not None)
+
+
+@pytest.mark.parametrize(
+    "name", ["cert_r2_n3_exhaustive", "cert_r2_n4_exhaustive",
+             "cert_r3_n2_sampled", "cert_r4_n8_sampled"]
+)
+def test_stored_part_bounds_are_riesz_lower_bounds(name):
+    """One formula for a part's bound: every stored per-part bound, from the
+    exhaustive search or the stacked sampled eigensolves, is bit for bit
+    what the public riesz_lower_bound returns for that part."""
+    cert = json.loads((DATA / f"{name}.json").read_text())
+    family = build_nonpavable_general(cert["family"]["r"], cert["family"]["n"])
+    want = [riesz_lower_bound(family, p) if p else None for p in cert["partition"]]
+    assert cert["per_part_bounds"] == want
 
 
 def test_prune_margin_covers_every_computed_rise():
@@ -136,8 +153,8 @@ def test_witness_table_holds_every_partition_witness(n):
     table = pa._witness_table(family)
     assert len(table) == sum(comb(2 * n, s) for s in range(n, 2 * n + 1))
     used = set()
-    for partition in enumerate_partitions(family.count, 2):
-        wit = witness_coefficients(family, partition)
+    for labels in itertools.product(range(2), repeat=family.count):
+        wit = witness_coefficients(family, partition_from_assignment(labels, 2))
         key = (wit.k, wit.indices)
         assert table[key] == wit.achieved_norm_sq
         used.add(key)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -16,14 +17,11 @@ from nonpaving import (
     build_nonpavable_general,
     build_nonpavable_r2,
     certify_nonpavable,
-    enumerate_partitions,
     gram,
     partition_from_assignment,
     riesz_lower_bound,
     witness_coefficients,
 )
-
-from oracles import distinct_partition_count
 
 
 # ---------------------------------------------------------------------------
@@ -60,51 +58,6 @@ def test_partition_from_assignment():
 def test_partition_from_assignment_rejects_bad_label():
     with pytest.raises(ValueError):
         partition_from_assignment([0, 2], 2)
-
-
-# ---------------------------------------------------------------------------
-# enumerate_partitions
-# ---------------------------------------------------------------------------
-
-def test_enumerate_two_points_two_parts_in_order():
-    got = [p.parts for p in enumerate_partitions(2, 2)]
-    assert got == [
-        ((0, 1), ()),
-        ((0,), (1,)),
-        ((1,), (0,)),
-        ((), (0, 1)),
-    ]
-
-
-def test_enumerate_count_is_parts_to_the_size():
-    assert sum(1 for _ in enumerate_partitions(8, 2)) == 256
-    assert sum(1 for _ in enumerate_partitions(4, 3)) == 81
-
-
-def test_canonical_enumeration_matches_dedup_oracle():
-    """For two parts, pinning index 0 to part 0 removes exactly the label swap."""
-    got = list(enumerate_partitions(3, 2, canonical=True))
-    assert len(got) == distinct_partition_count(3, 2) == 4
-    assert all(0 in p.parts[0] for p in got)
-
-
-def test_canonical_enumeration_pins_first_index():
-    for p in enumerate_partitions(2, 3, canonical=True):
-        assert 0 in p.parts[0]
-
-
-def test_enumeration_budget_is_checked_eagerly():
-    with pytest.raises(ResourceLimitError, match="1000"):
-        enumerate_partitions(18, 3, budget=1000)
-
-
-def test_enumeration_rejects_degenerate_arguments():
-    with pytest.raises(ValueError):
-        enumerate_partitions(0, 2)
-    with pytest.raises(ValueError):
-        enumerate_partitions(2, 0)
-    with pytest.raises(ValueError):
-        enumerate_partitions(2, 2, budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +106,13 @@ def test_best_partition_of_r2_family_stays_small():
 def test_best_partition_respects_budget():
     with pytest.raises(ResourceLimitError):
         best_partition_riesz(build_nonpavable_r2(2), 2, budget=10)
+    # 3^18 assignments for (3, 2): refused before any part bound is computed
+    with pytest.raises(ResourceLimitError, match="1000"):
+        best_partition_riesz(build_nonpavable_general(3, 2), 3, budget=1000)
+    with pytest.raises(ValueError):
+        best_partition_riesz(build_nonpavable_r2(1), 0)
+    with pytest.raises(ValueError):
+        best_partition_riesz(build_nonpavable_r2(1), 2, budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +197,8 @@ def test_witness_dominates_part_bound_everywhere():
     part's optimal bound; checked over every 2-part split of the (2,2) family."""
     fam = build_nonpavable_r2(2)
     G = gram(fam.vectors)
-    for partition in enumerate_partitions(fam.count, 2):
+    for labels in itertools.product(range(2), repeat=fam.count):
+        partition = partition_from_assignment(labels, 2)
         wit = witness_coefficients(fam, partition)
         idx = list(partition.parts[wit.part])
         bound = float(np.linalg.eigvalsh(G[np.ix_(idx, idx)])[0])
