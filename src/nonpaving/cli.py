@@ -365,7 +365,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"nonpaving: internal check failed: {exc}", file=sys.stderr)
         return 3
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:  # a budget, or an allocation refused
         print(f"nonpaving: resource limit: {exc}", file=sys.stderr)
         return 4
 

@@ -14,10 +14,12 @@ Exhaustive questions over all r^M labeled partitions are answered by one
 depth-first branch-and-bound over label prefixes (`_partition_search`). It
 reports exactly what a walk over every partition in enumeration order
 reports, while computing a few thousand part bounds for (2, 4) instead of
-two per partition. Sampled certification keeps its draws as one label
-array and checks them with stacked eigensolves and SVDs, grouped by part
-size (`_sampled_part_bounds`, `_sampled_witnesses`); every value is bit for
-bit what `riesz_lower_bound` and `witness_coefficients` compute.
+two per partition; its witness table takes one SVD call per subset size.
+Sampled certification keeps its draws as one label array and checks them
+with stacked eigensolves and SVDs, grouped by part size
+(`_sampled_part_bounds`, `_sampled_witnesses`). Every witness is picked by
+`_sampled_witnesses` and computed by `_block_witnesses`, so every value is
+bit for bit what `riesz_lower_bound` and `witness_coefficients` compute.
 """
 
 import math
@@ -301,55 +303,46 @@ class Witness:
 
 
 def _block_witnesses(
-    sub: np.ndarray, band: range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Witness coefficients for a stack sub (B, s, D) of s rows of one block.
+    vectors: np.ndarray, rows: np.ndarray, band: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Witness coefficients on each selection of `rows` (B, s): s rows of one block.
 
     For each selection, a unit vector in the null space of its band
     sub-block (the band columns of its rows, transposed) is taken from a
     full singular value decomposition: singular values below _NULL_REL_TOL
     times the largest count as zero, and among the null basis vectors the
     one with the largest first coordinate (in modulus) is chosen, ties to
-    the earliest, which makes the selection deterministic. An empty band
-    gives the first unit vector. Returns the coefficients (B, s), the
-    squared norms (B,) of the combinations they make, and a mask of the
-    selections whose null space came out nonempty.
+    the earliest, which makes the selection deterministic; with n - 1 band
+    columns against s >= n rows it is never empty. An empty band gives the
+    first unit vector. Returns the coefficients (B, s) and the squared norms
+    (B,) of the combinations they make, one SVD call per stack of
+    selections that fits in _STACK_BYTES.
 
     Every step acts on one selection at a time inside numpy (LAPACK per
     matrix, BLAS dots for the norm as np.linalg.norm takes it), so a
     selection gets the same bits in any stack, alone included.
     """
-    count, s, _ = sub.shape
-    if not band:
-        coeff = np.zeros((count, s), dtype=np.complex128)
-        coeff[:, 0] = 1.0
-        found = np.ones(count, dtype=bool)
-    else:
-        blocks = sub[:, :, band.start:band.stop].transpose(0, 2, 1)
-        _, sv, vh = np.linalg.svd(blocks, full_matrices=True)
-        smax = sv[:, 0]
-        rank = np.where(smax > 0, np.sum(sv > _NULL_REL_TOL * smax[:, None], axis=1), 0)
-        found = rank < s
-        lead = np.abs(vh[:, :, 0])
-        lead[np.arange(s) < rank[:, None]] = -1.0  # rows spanning the band's row space
-        v = np.conj(vh[np.arange(count), lead.argmax(axis=1)])
-        re, im = v.real[:, None, :], v.imag[:, None, :]
-        sqnorm = (re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
-        coeff = v / np.sqrt(sqnorm)
-    combo = coeff[:, None, :] @ sub
-    return coeff, np.sum(np.abs(combo[:, 0]) ** 2, axis=1), found
-
-
-def _block_witness(
-    family: StackedDftFrame, k: int, rows: tuple[int, ...]
-) -> tuple[np.ndarray, float]:
-    """Unit coefficients on `rows` of block k killing its band, and the
-    squared norm of the combination they make."""
-    sub = family.vectors[None, list(rows), :]
-    coeff, achieved, found = _block_witnesses(sub, family.layout.band_columns(k))
-    if not found[0]:
-        raise InternalInconsistencyError("null space unexpectedly empty")
-    return coeff[0], float(achieved[0])
+    s = rows.shape[1]
+    coeffs, norms = [], []
+    for chunk in _stacks(rows, 16 * s * max(s, vectors.shape[1])):  # rows (s x D) or vh (s x s)
+        sub = vectors[chunk]
+        if not band:
+            coeff = np.zeros(chunk.shape, dtype=np.complex128)
+            coeff[:, 0] = 1.0
+        else:
+            blocks = sub[:, :, band.start:band.stop].transpose(0, 2, 1)
+            _, sv, vh = np.linalg.svd(blocks, full_matrices=True)
+            smax = sv[:, 0]
+            rank = np.where(smax > 0, np.sum(sv > _NULL_REL_TOL * smax[:, None], axis=1), 0)
+            lead = np.abs(vh[:, :, 0])
+            lead[np.arange(s) < rank[:, None]] = -1.0  # rows spanning the band's row space
+            v = np.conj(vh[np.arange(len(chunk)), lead.argmax(axis=1)])
+            re, im = v.real[:, None, :], v.imag[:, None, :]
+            sqnorm = (re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
+            coeff = v / np.sqrt(sqnorm)
+        coeffs.append(coeff)
+        norms.append(np.sum(np.abs((coeff[:, None, :] @ sub)[:, 0]) ** 2, axis=1))
+    return np.concatenate(coeffs), np.concatenate(norms)
 
 
 def _witness_table(family: StackedDftFrame) -> dict[tuple[int, tuple[int, ...]], float]:
@@ -360,17 +353,19 @@ def _witness_table(family: StackedDftFrame) -> dict[tuple[int, tuple[int, ...]],
     subset of the block with at least n rows is such a selection (put it
     in part 0 and spread the rest of the block evenly over the other
     parts, none of which then holds more), so the table lists exactly the
-    candidates over all partitions: for (2, 4), 163 entries against 65,536
-    partitions. Entries are bit-identical to the achieved_norm_sq the
-    per-partition call computes.
+    candidates over all partitions: for (2, 4), 163 entries in five stacked
+    SVD calls against 65,536 partitions. Entries are bit-identical to the
+    achieved_norm_sq the per-partition call computes.
     """
     rn = family.r * family.n
     table = {}
     for k in range(1, family.r):
         block = range((k - 1) * rn, k * rn)
+        band = family.layout.band_columns(k)
         for size in range(family.n, rn + 1):
-            for rows in combinations(block, size):
-                table[(k, rows)] = _block_witness(family, k, rows)[1]
+            subsets = list(combinations(block, size))
+            _, norms = _block_witnesses(family.vectors, np.array(subsets), band)
+            table.update(zip([(k, rows) for rows in subsets], norms.tolist()))
     return table
 
 
@@ -384,40 +379,30 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     coefficient vector in the null space of their own band columns (n-1
     constraints against >= n vectors) combines them into a vector supported
     on the tail, of squared norm at most delta_k. The witness with the
-    smallest achieved norm over k is returned.
+    smallest achieved norm over k, picked by `_sampled_witnesses`, is returned.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("witness extraction needs a built family with layout metadata")
-    r, n = family.r, family.n
-    rn = r * n
+    r, rn = family.r, family.r * family.n
     if partition.num_parts != r or partition.size != family.count:
         raise ValueError(
             f"partition must split {family.count} indices into {r} parts, "
             f"got {partition.size} into {partition.num_parts}"
         )
-    best: Witness | None = None
-    for k in range(1, r):
-        lo, hi = (k - 1) * rn, k * rn
-        chosen_part, chosen_rows = -1, ()
-        for j, p in enumerate(partition.parts):
-            rows = tuple(i for i in p if lo <= i < hi)
-            if len(rows) > len(chosen_rows):
-                chosen_part, chosen_rows = j, rows
-        if len(chosen_rows) < n:
-            raise InternalInconsistencyError(
-                f"pigeonhole failed for block {k}: largest intersection {len(chosen_rows)} < {n}"
-            )
-        coeff, achieved = _block_witness(family, k, chosen_rows)
-        wit = Witness(k, chosen_part, chosen_rows, coeff, achieved)
-        if best is None or wit.achieved_norm_sq < best.achieved_norm_sq:
-            best = wit
-    assert best is not None
-    delta = family.schedule.deltas[best.k - 1]
-    if best.achieved_norm_sq > delta + WITNESS_TOL:
+    owner = {i: j for j, p in enumerate(partition.parts) for i in p}
+    labels = np.array([[owner[i] for i in range(family.count)]])
+    ks, parts, _ = _sampled_witnesses(family, labels)
+    k, part = int(ks[0]), int(parts[0])
+    lo = (k - 1) * rn
+    rows = lo + _members(labels[:, lo:lo + rn] == part)
+    coeff, achieved = _block_witnesses(family.vectors, rows, family.layout.band_columns(k))
+    wit = Witness(k, part, rows[0], coeff[0], float(achieved[0]))
+    delta = family.schedule.deltas[k - 1]
+    if wit.achieved_norm_sq > delta + WITNESS_TOL:
         raise InternalInconsistencyError(
-            f"witness achieved {best.achieved_norm_sq}, above delta_{best.k} = {delta}"
+            f"witness achieved {wit.achieved_norm_sq}, above delta_{k} = {delta}"
         )
-    return best
+    return wit
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,41 +520,34 @@ def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> n
 
 def _sampled_witnesses(
     family: StackedDftFrame, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witness block k and achieved norm of every drawn labeling.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Witness block k, part and achieved norm of every drawn labeling.
 
-    Per draw, the same choice as `witness_coefficients`: for each block k
-    the part holding the most of its rows (ties to the lowest label), and
-    the k of smallest achieved norm (ties to the first). Selections of
-    equal size share one stacked SVD. A draw whose largest intersection
-    with some block has fewer than n rows, or whose null space comes out
-    empty, gets achieved = inf, so it fails every witness check.
+    The one witness choice: per labeling, for each block k the part holding
+    the most of its rows (ties to the lowest label), and the k of smallest
+    achieved norm (ties to the first). InternalInconsistencyError is raised
+    if some block has fewer than n rows in every part of some labeling.
     """
-    r, n = family.r, family.n
-    rn = r * n
-    count = labels.shape[0]
-    vectors = family.vectors
-    per_block = np.full((count, r - 1), np.inf)
-    broken = np.zeros(count, dtype=bool)
+    r, n, rn = family.r, family.n, family.r * family.n
+    per_block = np.empty((len(labels), r - 1))
+    parts = np.empty((len(labels), r - 1), dtype=np.int64)
     for k in range(1, r):
         lo = (k - 1) * rn
         block = labels[:, lo:lo + rn]
         tallies = np.stack([(block == j).sum(axis=1) for j in range(r)], axis=1)
-        chosen = tallies.argmax(axis=1)
+        chosen = parts[:, k - 1] = tallies.argmax(axis=1)
         sizes = tallies.max(axis=1)
-        broken |= sizes < n
+        if sizes.min() < n:
+            raise InternalInconsistencyError(
+                f"pigeonhole failed for block {k}: largest intersection {sizes.min()} < {n}"
+            )
         band = family.layout.band_columns(k)
-        for s in np.unique(sizes[sizes >= n]):
-            item_bytes = 16 * s * max(s, vectors.shape[1])  # rows (s x D) or vh (s x s)
-            for chunk in _stacks(np.flatnonzero(sizes == s), item_bytes):
-                rows = lo + _members(block[chunk] == chosen[chunk, None])
-                _, achieved, found = _block_witnesses(vectors[rows], band)
-                per_block[chunk, k - 1] = achieved
-                broken[chunk] |= ~found
+        for s in np.unique(sizes):
+            draws = np.flatnonzero(sizes == s)
+            rows = lo + _members(block[draws] == chosen[draws, None])
+            _, per_block[draws, k - 1] = _block_witnesses(family.vectors, rows, band)
     best = per_block.argmin(axis=1)
-    achieved = per_block[np.arange(count), best]
-    achieved[broken] = np.inf
-    return best + 1, achieved
+    return best + 1, parts[np.arange(len(labels)), best], per_block.min(axis=1)
 
 
 def _raise_first_sampled_failure(
@@ -609,12 +587,12 @@ def certify_nonpavable(
     or draw order), and must yield valid witness coefficients, or
     InternalInconsistencyError is raised. Sampled draws fail in draw order,
     and a draw failing both checks fails the bound check. Exhaustive mode
-    checks witnesses once per block subset, before the search: every entry
-    of `_witness_table` must stay within delta_k + WITNESS_TOL, or
-    InternalInconsistencyError names the (k, rows) that fails. The summary
-    reports the worst (largest) min-part bound seen, with a full
-    certificate for the first partition attaining it. Families with n = 1
-    certify trivially and are flagged vacuous.
+    checks witnesses once per block subset, stacked by subset size, before
+    the search: every entry of `_witness_table` must stay within
+    delta_k + WITNESS_TOL, or InternalInconsistencyError names the (k, rows)
+    that fails. The summary reports the worst (largest) min-part bound seen,
+    with a full certificate for the first partition attaining it. Families
+    with n = 1 certify trivially and are flagged vacuous.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("certification needs a built family with layout metadata")
@@ -646,7 +624,7 @@ def certify_nonpavable(
         labels = rng.integers(0, r, size=(int(count), family.count))
         bounds = _sampled_part_bounds(G, labels, r)
         values = bounds.min(axis=1)
-        witness_k, achieved = _sampled_witnesses(family, labels)
+        witness_k, _, achieved = _sampled_witnesses(family, labels)
         deltas = np.array(family.schedule.deltas)
         failed = (values > threshold) | (achieved > deltas[witness_k - 1] + WITNESS_TOL)
         if failed.any():

@@ -173,6 +173,55 @@ def flat_max_min_partition(gram_matrix, num_parts):
 
 
 # ---------------------------------------------------------------------------
+# witnesses by a per-block loop
+# ---------------------------------------------------------------------------
+
+def oracle_selection_witness(vectors, k, rows, n):
+    """(coeff, achieved) for the given rows of block k of a built (r, n) family.
+
+    The rows' band columns (k-1)(n-1) .. k(n-1)-1 are killed by a unit null
+    vector chosen from a full SVD (singular values above 1e-10 of the
+    largest count toward the rank; largest first coordinate, ties to the
+    earliest); achieved is the squared norm of its combination of the rows.
+    With n = 1 the band is empty and the first unit vector is taken.
+    """
+    sub = np.asarray(vectors)[list(rows), :]
+    band = sub[:, (k - 1) * (n - 1):k * (n - 1)].T
+    if band.shape[0] == 0:
+        coeff = np.zeros(len(rows), dtype=complex)
+        coeff[0] = 1.0
+    else:
+        _, sv, vh = np.linalg.svd(band, full_matrices=True)
+        rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
+        null = np.conj(vh[rank:])
+        coeff = null[int(np.argmax(np.abs(null[:, 0])))]
+        coeff = coeff / np.linalg.norm(coeff)
+    return coeff, float(np.sum(np.abs(coeff @ sub) ** 2))
+
+
+def oracle_witness(vectors, labels, r, n):
+    """(k, part, rows, coeff, achieved) for one labeling of a built (r, n) family.
+
+    For each block k < r, the part holding most of the block's r*n rows
+    (ties to the lowest label) gives the rows of `oracle_selection_witness`;
+    the block with the smallest achieved norm wins, ties to the first.
+    Returns None when some block's largest intersection is below n.
+    """
+    rn = r * n
+    best = None
+    for k in range(1, r):
+        members = [[i for i in range((k - 1) * rn, k * rn) if labels[i] == j] for j in range(r)]
+        part = max(range(r), key=lambda j: len(members[j]))
+        rows = members[part]
+        if len(rows) < n:
+            return None
+        coeff, achieved = oracle_selection_witness(vectors, k, rows, n)
+        if best is None or achieved < best[4]:
+            best = (k, part, rows, coeff, achieved)
+    return best
+
+
+# ---------------------------------------------------------------------------
 # sampled certification by a per-draw loop
 # ---------------------------------------------------------------------------
 
@@ -184,14 +233,8 @@ def flat_sampled_values(gram_matrix, vectors, r, n, count, seed):
     draws are the rows of Philox(seed) integers in [0, r), shape
     (count, r*r*n). Yields (labels, bounds, value, k, achieved) per draw:
     bounds per part (None when empty) from eigvalsh on the sorted principal
-    submatrix of the Gram, value their min; for each block k < r, the part
-    holding most of the block's r*n rows (ties to the lowest label) gives
-    rows whose band columns (k-1)(n-1) .. k(n-1)-1 a unit null vector
-    kills, chosen from a full SVD (singular values above 1e-10 of the
-    largest count toward the rank; largest first coordinate, ties to the
-    earliest) and combined with the rows. (k, achieved) is the block with
-    the smallest squared norm of that combination, ties to the first.
-    achieved is None when some block's largest intersection is below n.
+    submatrix of the Gram, value their min; (k, achieved) from
+    `oracle_witness`, both None when it finds no witness.
     """
     g = np.asarray(gram_matrix)
     v = np.asarray(vectors)
@@ -203,24 +246,6 @@ def flat_sampled_values(gram_matrix, vectors, r, n, count, seed):
         bounds = [float(np.linalg.eigvalsh(g[np.ix_(p, p)])[0]) if p else None
                   for p in parts]
         value = min(b for b in bounds if b is not None)
-        best_k, best = None, None
-        for k in range(1, r):
-            rows = max(([i for i in p if (k - 1) * rn <= i < k * rn] for p in parts), key=len)
-            if len(rows) < n:
-                best_k, best = None, None
-                break
-            sub = v[rows, :]
-            band = sub[:, (k - 1) * (n - 1):k * (n - 1)].T
-            if band.shape[0] == 0:
-                coeff = np.zeros(len(rows), dtype=complex)
-                coeff[0] = 1.0
-            else:
-                _, sv, vh = np.linalg.svd(band, full_matrices=True)
-                rank = int(np.sum(sv > 1e-10 * sv[0])) if sv[0] > 0 else 0
-                null = np.conj(vh[rank:])
-                coeff = null[int(np.argmax(np.abs(null[:, 0])))]
-                coeff = coeff / np.linalg.norm(coeff)
-            achieved = float(np.sum(np.abs(coeff @ sub) ** 2))
-            if best is None or achieved < best:
-                best_k, best = k, achieved
+        witness = oracle_witness(v, labels, r, n)
+        best_k, best = (None, None) if witness is None else (witness[0], witness[4])
         yield labels, bounds, value, best_k, best

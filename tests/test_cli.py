@@ -216,6 +216,17 @@ def test_certify_exhaustive_over_budget_is_exit_4(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_certify_refused_allocation_is_exit_4(tmp_path, capsys):
+    """10**15 draws of 16 labels need 114 PiB, more than any address space
+    holds, so the allocation is refused before anything is written."""
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "certify", "--r", "2", "--n", "4", "--mode", "sampled",
+                       "--count", str(10**15), "--out", str(out))
+    assert code == 4
+    assert err.startswith("nonpaving: resource limit: ")
+    assert not out.exists()
+
+
 def test_certify_count_only_for_sampled(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--r", "2", "--n", "1",
                        "--mode", "exhaustive", "--count", "5",

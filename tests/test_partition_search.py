@@ -30,7 +30,7 @@ from nonpaving import (
 )
 from nonpaving.cli import main
 
-from oracles import flat_max_min_partition, flat_partition_values
+from oracles import flat_max_min_partition, flat_partition_values, oracle_selection_witness
 
 DATA = Path(__file__).parent / "data"
 
@@ -132,6 +132,25 @@ def test_search_work_counts_are_pinned(n, nodes):
     assert result.eigensolves == nodes
 
 
+@pytest.mark.parametrize("n, calls", [(3, 6), (4, 7)])
+def test_exhaustive_svd_calls_are_pinned(n, calls, monkeypatch):
+    """One stacked SVD call per block-subset size for the witness table
+    (n + 1 sizes for r = 2), and two for the certificate's witness: one
+    picks it, one computes its coefficients. One call per subset would take
+    43 and 164."""
+    real = np.linalg.svd
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    family = build_nonpavable_general(2, n)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    certify_nonpavable(family, "exhaustive")
+    assert len(made) == calls
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_exhaustive_certificate_bytes_unchanged(n, tmp_path, capsys):
     """Recorded from the flat walk; the search must reproduce it byte for byte."""
@@ -159,6 +178,16 @@ def test_witness_table_holds_every_partition_witness(n):
         assert table[key] == wit.achieved_norm_sq
         used.add(key)
     assert used == set(table)
+
+
+@pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (3, 1), (3, 2)])
+def test_witness_table_matches_per_selection_oracle_bit_for_bit(r, n):
+    family = build_nonpavable_general(r, n)
+    table = pa._witness_table(family)
+    rn = r * n
+    assert len(table) == (r - 1) * sum(comb(rn, s) for s in range(n, rn + 1))
+    for (k, rows), achieved in table.items():
+        assert achieved == oracle_selection_witness(family.vectors, k, rows, n)[1]
 
 
 def test_exhaustive_certify_rejects_a_bad_witness_entry(monkeypatch):

@@ -23,6 +23,8 @@ from nonpaving import (
     witness_coefficients,
 )
 
+from oracles import oracle_witness
+
 
 # ---------------------------------------------------------------------------
 # Partition
@@ -203,6 +205,29 @@ def test_witness_dominates_part_bound_everywhere():
         idx = list(partition.parts[wit.part])
         bound = float(np.linalg.eigvalsh(G[np.ix_(idx, idx)])[0])
         assert wit.achieved_norm_sq >= bound - 1e-10
+
+
+def oracle_cases():
+    """Every partition of (2, 2), then 200 seeded ones each of (3, 2), (4, 2), (2, 4)."""
+    fam = build_nonpavable_r2(2)
+    for labels in itertools.product(range(2), repeat=fam.count):
+        yield fam, list(labels)
+    for seed, (r, n) in enumerate([(3, 2), (4, 2), (2, 4)]):
+        fam = build_nonpavable_general(r, n)
+        for labels in np.random.default_rng(seed).integers(0, r, size=(200, fam.count)):
+            yield fam, labels.tolist()
+
+
+def test_witness_matches_per_block_oracle_bit_for_bit():
+    checked = 0
+    for fam, labels in oracle_cases():
+        wit = witness_coefficients(fam, partition_from_assignment(labels, fam.r))
+        k, part, rows, coeff, achieved = oracle_witness(fam.vectors, labels, fam.r, fam.n)
+        assert (wit.k, wit.part, wit.indices) == (k, part, tuple(rows))
+        assert wit.coefficients.tobytes() == coeff.tobytes()
+        assert wit.achieved_norm_sq == achieved
+        checked += 1
+    assert checked == 256 + 3 * 200
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_batched_values_match_per_draw_loop_bit_for_bit(r, n, count, seed):
     family = build_nonpavable_general(r, n)
     labels = draw_labels(family, count, seed)
     bounds = pa._sampled_part_bounds(gram(family.vectors), labels, r)
-    witness_k, achieved = pa._sampled_witnesses(family, labels)
+    witness_k, _, achieved = pa._sampled_witnesses(family, labels)
     want = oracle_draws(family, count, seed)
     for d, (want_labels, want_bounds, want_value, want_k, want_achieved) in enumerate(want):
         assert labels[d].tolist() == want_labels
@@ -119,6 +119,7 @@ def test_bound_failure_names_the_first_draw_above_the_threshold(monkeypatch):
     # is the first failing draw
     monkeypatch.setattr(pa, "_sampled_witnesses",
                         lambda fam, labels: (np.ones(len(labels), int),
+                                             np.zeros(len(labels), int),
                                              np.full(len(labels), -np.inf)))
     with pytest.raises(CertificationError) as info:
         certify_nonpavable(family, "sampled", count=COUNT, seed=SEED)
