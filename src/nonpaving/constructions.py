@@ -23,11 +23,12 @@ block-diagonal stack of copies of the original Gram.
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .frame_ops import FrameFamily
+from .frame_ops import FrameFamily, _require_tight
 from .matrix_core import dft_matrix, gram, scale_columns
 
 __all__ = [
@@ -106,15 +107,8 @@ def delta_schedule(r: int, n: int) -> DeltaSchedule:
     unscaled DFTs (certificates downstream flag this case as vacuous).
     """
     _validate_r_n(r, n)
-    deltas = []
-    partials = []
-    total = 0.0
-    for k in range(1, r + 1):
-        d = _delta_value(r, n, k)
-        total += d
-        deltas.append(d)
-        partials.append(total)
-    return DeltaSchedule(r, n, tuple(deltas), tuple(partials))
+    deltas = tuple(_delta_value(r, n, k) for k in range(1, r + 1))
+    return DeltaSchedule(r, n, deltas, tuple(accumulate(deltas)))
 
 
 def _validate_r_n(r, n) -> None:
@@ -140,7 +134,7 @@ class BlockBands:
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Per-block column layout of an (r, n) stacked family.
+    """Per-block column layout of the (r, n) stacked family of `schedule`.
 
     Block k (1-based, k < r) has zero prefix (k-1)(n-1), a band of n-1
     columns at weight sqrt(r - sum of earlier deltas), and a tail at weight
@@ -148,14 +142,14 @@ class BlockLayout:
     r+n-1 columns at weight sqrt(delta_r). Widths always total r*n.
     """
 
-    r: int
-    n: int
+    schedule: DeltaSchedule
     blocks: tuple[BlockBands, ...]
 
     def __post_init__(self):
-        if len(self.blocks) != self.r:
+        r, n = self.schedule.r, self.schedule.n
+        if len(self.blocks) != r:
             raise ValueError("need exactly r blocks")
-        width = self.r * self.n
+        width = r * n
         for k, b in enumerate(self.blocks, start=1):
             if b.zero_width + b.band_width + b.tail_width != width:
                 raise ValueError(f"block {k} spans do not cover {width} columns")
@@ -164,22 +158,29 @@ class BlockLayout:
             if b.band_weight < 0 or b.tail_weight < 0:
                 raise ValueError(f"block {k} has a negative weight")
 
+    def _block(self, k: int) -> BlockBands:
+        if not 1 <= k <= self.schedule.r:
+            raise ValueError(f"k must be in [1, {self.schedule.r}]")
+        return self.blocks[k - 1]
+
     def column_weights(self, k: int) -> np.ndarray:
         """Length-r*n weight vector for block k (1-based)."""
-        if not 1 <= k <= self.r:
-            raise ValueError(f"k must be in [1, {self.r}]")
-        b = self.blocks[k - 1]
-        w = np.zeros(self.r * self.n)
+        b = self._block(k)
+        w = np.zeros(self.schedule.r * self.schedule.n)
         w[b.zero_width : b.zero_width + b.band_width] = b.band_weight
         w[b.zero_width + b.band_width :] = b.tail_weight
         return w
 
     def band_columns(self, k: int) -> range:
         """Global column indices of block k's band (empty for k = r or n = 1)."""
-        if not 1 <= k <= self.r:
-            raise ValueError(f"k must be in [1, {self.r}]")
-        b = self.blocks[k - 1]
+        b = self._block(k)
         return range(b.zero_width, b.zero_width + b.band_width)
+
+    def block_rows(self, k: int) -> range:
+        """Global row indices of block k: (k-1)*r*n .. k*r*n - 1."""
+        self._block(k)  # validates k
+        rn = self.schedule.r * self.schedule.n
+        return range((k - 1) * rn, k * rn)
 
 
 def block_layout(r: int, n: int) -> BlockLayout:
@@ -191,20 +192,21 @@ def block_layout(r: int, n: int) -> BlockLayout:
     schedule = delta_schedule(r, n)
     width = r * n
     blocks = []
-    for k in range(1, r):
-        zero = (k - 1) * (n - 1)
-        band_w = math.sqrt(schedule.residual_weight_sq(k))
+    for k in range(1, r + 1):
+        zero, band = (k - 1) * (n - 1), (n - 1 if k < r else 0)
+        band_w = math.sqrt(schedule.residual_weight_sq(k)) if k < r else 0.0
         tail_w = math.sqrt(schedule.deltas[k - 1])
-        blocks.append(BlockBands(zero, n - 1, band_w, width - k * (n - 1), tail_w))
-    zero = (r - 1) * (n - 1)
-    tail_w = math.sqrt(schedule.deltas[r - 1])
-    blocks.append(BlockBands(zero, 0, 0.0, width - zero, tail_w))
-    return BlockLayout(r, n, tuple(blocks))
+        blocks.append(BlockBands(zero, band, band_w, width - zero - band, tail_w))
+    return BlockLayout(schedule, tuple(blocks))
 
 
 @dataclass(frozen=True, eq=False)
 class StackedDftFrame(FrameFamily):
-    """A built (r, n) family together with its schedule and column layout."""
+    """A built (r, n) family together with its schedule and column layout.
+
+    Construction checks the shape, the schedule, the layout's schedule, and
+    r-tightness by the one tightness rule, `frame_ops._require_tight`.
+    """
 
     r: int
     n: int
@@ -221,8 +223,9 @@ class StackedDftFrame(FrameFamily):
             )
         if (self.schedule.r, self.schedule.n) != (r, n):
             raise ValueError("schedule does not match r, n")
-        if (self.layout.r, self.layout.n) != (r, n):
-            raise ValueError("layout does not match r, n")
+        if self.layout.schedule != self.schedule:
+            raise ValueError("layout was not built from this schedule")
+        _require_tight(self, float(r))
 
     @property
     def vacuous(self) -> bool:
@@ -235,12 +238,10 @@ def build_nonpavable_general(r: int, n: int) -> StackedDftFrame:
 
     Returns a unit-norm r-tight family of r^2*n vectors in dimension r*n.
     """
-    _validate_r_n(r, n)
-    schedule = delta_schedule(r, n)
     layout = block_layout(r, n)
     base = dft_matrix(r * n)
     stack = np.vstack([scale_columns(base, layout.column_weights(k)) for k in range(1, r + 1)])
-    return StackedDftFrame(stack, r, n, schedule, layout, claimed_tightness=float(r))
+    return StackedDftFrame(stack, r, n, layout.schedule, layout)
 
 
 def build_nonpavable_r2(n: int) -> StackedDftFrame:
@@ -258,8 +259,8 @@ def doubling_step(family: FrameFamily) -> FrameFamily:
 
     Doubles count and dimension, multiplies every entry by 1/sqrt(2),
     preserves row norms and frame bounds exactly, and makes the Gram two
-    diagonal copies of the input Gram. The result carries no tightness
-    claim, so doubling runs no eigensolve.
+    diagonal copies of the input Gram. The result is a plain FrameFamily,
+    so doubling runs no eigensolve.
     """
     V = family.vectors
     out = np.block([[V, V], [V, -V]]) / math.sqrt(2.0)

@@ -9,7 +9,7 @@ Gram matrix into a rank-d orthogonal projection with constant diagonal 1/A.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,39 +36,23 @@ __all__ = [
     "complement_duality_check",
 ]
 
-# Tolerance used when a family's claimed tightness is confirmed, and by
+# Tolerance of the one tightness rule (`_require_tight`), and of
 # eigenvalue-based checks generally.
 FRAME_CONFIRM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class FrameFamily:
-    """M vectors in C^d as rows of a matrix, with an optional tightness claim.
+    """M vectors in C^d as rows of a matrix, with no tightness claim.
 
-    When claimed_tightness is set, construction confirms that both frame
-    bounds equal the claim within 1e-8 (which also forces M >= d, since a
-    tight family spans).
+    Tightness has one rule, `_require_tight`; a built StackedDftFrame and
+    `projection_from_tight_frame` both apply it.
     """
 
     vectors: np.ndarray
-    claimed_tightness: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         object.__setattr__(self, "vectors", as_complex_matrix(self.vectors))
-        if self.claimed_tightness is not None:
-            a = float(self.claimed_tightness)
-            if not (math.isfinite(a) and a > 0):
-                raise ValueError("claimed_tightness must be positive and finite")
-            object.__setattr__(self, "claimed_tightness", a)
-            if self.count < self.dim:
-                raise ValueError(
-                    f"a tight family must span: {self.count} vectors in dimension {self.dim}"
-                )
-            lo, hi = frame_bounds(self)
-            if abs(lo - a) > FRAME_CONFIRM_TOL or abs(hi - a) > FRAME_CONFIRM_TOL:
-                raise ValueError(
-                    f"claimed tightness {a} not confirmed: frame bounds ({lo}, {hi})"
-                )
 
     @property
     def count(self) -> int:
@@ -206,6 +190,17 @@ def is_tight_frame(family: FrameFamily, tol: float = FRAME_CONFIRM_TOL) -> float
     return _classify_tightness(spread, a_spec, col_dev, a_col, tol)
 
 
+def _require_tight(family: FrameFamily, tightness: float) -> None:
+    """The tightness rule: raise ValueError unless the family is tight within
+    FRAME_CONFIRM_TOL (`is_tight_frame`) with constant within it of `tightness`."""
+    a = is_tight_frame(family, FRAME_CONFIRM_TOL)
+    if a is None or abs(a - tightness) > FRAME_CONFIRM_TOL:
+        raise ValueError(
+            f"family is not {tightness}-tight within {FRAME_CONFIRM_TOL}"
+            + (f" (measured constant {a})" if a is not None else "")
+        )
+
+
 def projection_from_tight_frame(family: FrameFamily, tightness: float) -> ProjectionMatrix:
     """Orthogonal projection spanned by a tight family: gram of rows / sqrt(tightness).
 
@@ -216,12 +211,7 @@ def projection_from_tight_frame(family: FrameFamily, tightness: float) -> Projec
     """
     if not tightness > 0:
         raise ValueError("tightness must be positive")
-    a = is_tight_frame(family, FRAME_CONFIRM_TOL)
-    if a is None or abs(a - tightness) > FRAME_CONFIRM_TOL:
-        raise ValueError(
-            f"family is not {tightness}-tight within {FRAME_CONFIRM_TOL}"
-            + (f" (measured constant {a})" if a is not None else "")
-        )
+    _require_tight(family, tightness)
     P = gram(family.vectors / math.sqrt(tightness))
     unit_rows = float(np.max(np.abs(row_square_sums(family.vectors) - 1.0))) <= 1e-10
     diag_constant = 1.0 / tightness if unit_rows else None

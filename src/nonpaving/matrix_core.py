@@ -192,14 +192,15 @@ def read_matrix_csv(path) -> np.ndarray:
     body = lines[1:]
     if len(body) != rows:
         raise MatrixParseError(f"{path}: expected {rows} rows, found {len(body)}")
+    # Row widths are checked first: the header alone never sizes an allocation.
+    for i, line in enumerate(body):
+        if line.count(",") + 1 != cols:
+            raise MatrixParseError(
+                f"{path}: row {i} has {line.count(',') + 1} entries, expected {cols}"
+            )
     out = np.zeros((rows, cols), dtype=np.complex128)
     for i, line in enumerate(body):
-        tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != cols:
-            raise MatrixParseError(
-                f"{path}: row {i} has {len(tokens)} entries, expected {cols}"
-            )
-        for j, tok in enumerate(tokens):
+        for j, tok in enumerate(t.strip() for t in line.split(",")):
             try:
                 z = complex(tok)
             except ValueError:

@@ -184,10 +184,7 @@ class _SearchResult:
 
 
 def _partition_search(
-    G: np.ndarray,
-    num_parts: int,
-    budget: int = DEFAULT_ASSIGNMENT_BUDGET,
-    threshold: float = math.inf,
+    G: np.ndarray, num_parts: int, threshold: float = math.inf
 ) -> _SearchResult:
     """Max over labeled partitions of the min nonempty-part Riesz bound.
 
@@ -206,11 +203,10 @@ def _partition_search(
 
     The first leaf in lexicographic order whose value exceeds `threshold`
     raises CertificationError: best never exceeds the threshold, so no
-    skipped leaf does either. The budget is checked eagerly on
-    num_parts**M, which is the number of partitions the search covers.
+    skipped leaf does either. Callers check num_parts**M, the number of
+    partitions the search covers, against their budget before forming G.
     """
     size = G.shape[0]
-    _check_assignment_budget(size, num_parts, budget)
     margin = _prune_margin(G)
     last = size - 1
     parts: list[list[int]] = [[] for _ in range(num_parts)]
@@ -267,7 +263,8 @@ def best_partition_riesz(
     first partition attaining the maximum in enumeration order, with the
     minimum over nonempty parts of the part's Riesz bound.
     """
-    result = _partition_search(gram(family.vectors), num_parts, budget=budget)
+    _check_assignment_budget(family.count, num_parts, budget)
+    result = _partition_search(gram(family.vectors), num_parts)
     return result.partition, result.value
 
 
@@ -300,6 +297,12 @@ class Witness:
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         if self.achieved_norm_sq < 0:
             raise ValueError("achieved_norm_sq must be nonnegative")
+
+
+def _witness_limit(family: StackedDftFrame, k):
+    """delta_k + WITNESS_TOL, the most a block-k witness may achieve, for an
+    int k or an integer array of them; WITNESS_TOL is read at call time."""
+    return np.asarray(family.schedule.deltas)[k - 1] + WITNESS_TOL
 
 
 def _block_witnesses(
@@ -357,12 +360,11 @@ def _witness_table(family: StackedDftFrame) -> dict[tuple[int, tuple[int, ...]],
     SVD calls against 65,536 partitions. Entries are bit-identical to the
     achieved_norm_sq the per-partition call computes.
     """
-    rn = family.r * family.n
     table = {}
     for k in range(1, family.r):
-        block = range((k - 1) * rn, k * rn)
+        block = family.layout.block_rows(k)
         band = family.layout.band_columns(k)
-        for size in range(family.n, rn + 1):
+        for size in range(family.n, len(block) + 1):
             subsets = list(combinations(block, size))
             _, norms = _block_witnesses(family.vectors, np.array(subsets), band)
             table.update(zip([(k, rows) for rows in subsets], norms.tolist()))
@@ -383,7 +385,7 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("witness extraction needs a built family with layout metadata")
-    r, rn = family.r, family.r * family.n
+    r = family.r
     if partition.num_parts != r or partition.size != family.count:
         raise ValueError(
             f"partition must split {family.count} indices into {r} parts, "
@@ -393,14 +395,14 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     labels = np.array([[owner[i] for i in range(family.count)]])
     ks, parts, _ = _sampled_witnesses(family, labels)
     k, part = int(ks[0]), int(parts[0])
-    lo = (k - 1) * rn
-    rows = lo + _members(labels[:, lo:lo + rn] == part)
+    span = family.layout.block_rows(k)
+    rows = span.start + _members(labels[:, span.start:span.stop] == part)
     coeff, achieved = _block_witnesses(family.vectors, rows, family.layout.band_columns(k))
     wit = Witness(k, part, rows[0], coeff[0], float(achieved[0]))
-    delta = family.schedule.deltas[k - 1]
-    if wit.achieved_norm_sq > delta + WITNESS_TOL:
+    if wit.achieved_norm_sq > _witness_limit(family, k):
         raise InternalInconsistencyError(
-            f"witness achieved {wit.achieved_norm_sq}, above delta_{k} = {delta}"
+            f"witness achieved {wit.achieved_norm_sq}, "
+            f"above delta_{k} = {family.schedule.deltas[k - 1]}"
         )
     return wit
 
@@ -528,12 +530,12 @@ def _sampled_witnesses(
     achieved norm (ties to the first). InternalInconsistencyError is raised
     if some block has fewer than n rows in every part of some labeling.
     """
-    r, n, rn = family.r, family.n, family.r * family.n
+    r, n = family.r, family.n
     per_block = np.empty((len(labels), r - 1))
     parts = np.empty((len(labels), r - 1), dtype=np.int64)
     for k in range(1, r):
-        lo = (k - 1) * rn
-        block = labels[:, lo:lo + rn]
+        span = family.layout.block_rows(k)
+        block = labels[:, span.start:span.stop]
         tallies = np.stack([(block == j).sum(axis=1) for j in range(r)], axis=1)
         chosen = parts[:, k - 1] = tallies.argmax(axis=1)
         sizes = tallies.max(axis=1)
@@ -544,7 +546,7 @@ def _sampled_witnesses(
         band = family.layout.band_columns(k)
         for s in np.unique(sizes):
             draws = np.flatnonzero(sizes == s)
-            rows = lo + _members(block[draws] == chosen[draws, None])
+            rows = span.start + _members(block[draws] == chosen[draws, None])
             _, per_block[draws, k - 1] = _block_witnesses(family.vectors, rows, band)
     best = per_block.argmin(axis=1)
     return best + 1, parts[np.arange(len(labels)), best], per_block.min(axis=1)
@@ -597,24 +599,20 @@ def certify_nonpavable(
     if not isinstance(family, StackedDftFrame):
         raise ValueError("certification needs a built family with layout metadata")
     r = family.r
-    threshold = max(family.schedule.deltas[: r - 1]) + WITNESS_TOL
-    G = gram(family.vectors)
+    threshold = float(_witness_limit(family, np.arange(1, r)).max())
     if mode == "exhaustive":
         if count is not None:
             raise ValueError("count applies only to sampled mode")
         seed = None
         checked = _check_assignment_budget(family.count, r, budget)
         for (k, rows), achieved in _witness_table(family).items():
-            delta = family.schedule.deltas[k - 1]
-            if achieved > delta + WITNESS_TOL:
+            if achieved > _witness_limit(family, k):
                 raise InternalInconsistencyError(
                     f"witness for block {k} rows {rows} achieved {achieved}, "
-                    f"above delta_{k} = {delta}"
+                    f"above delta_{k} = {family.schedule.deltas[k - 1]}"
                 )
-        result = _partition_search(G, r, budget=budget, threshold=threshold)
-        worst_partition, worst_bounds, worst_value = (
-            result.partition, result.part_bounds, result.value
-        )
+        res = _partition_search(gram(family.vectors), r, threshold=threshold)
+        worst_partition, worst_bounds, worst_value = res.partition, res.part_bounds, res.value
     elif mode == "sampled":
         if count is None or count < 1:
             raise ValueError("sampled mode needs count >= 1")
@@ -622,11 +620,10 @@ def certify_nonpavable(
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))
         labels = rng.integers(0, r, size=(int(count), family.count))
-        bounds = _sampled_part_bounds(G, labels, r)
+        bounds = _sampled_part_bounds(gram(family.vectors), labels, r)
         values = bounds.min(axis=1)
         witness_k, _, achieved = _sampled_witnesses(family, labels)
-        deltas = np.array(family.schedule.deltas)
-        failed = (values > threshold) | (achieved > deltas[witness_k - 1] + WITNESS_TOL)
+        failed = (values > threshold) | (achieved > _witness_limit(family, witness_k))
         if failed.any():
             first = failed.argmax()
             _raise_first_sampled_failure(family, labels[first], float(values[first]), threshold)

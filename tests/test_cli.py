@@ -135,6 +135,19 @@ def test_verify_empty_matrix_is_exit_2(tmp_path, capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("cols", ["100000000000", "99999999999999999999"])
+def test_verify_oversized_header_is_exit_2(tmp_path, capsys, cols):
+    """A header's column count sizes nothing before the rows confirm it:
+    2 x 10**11 would need 2.91 TiB, 10**20 columns exceed numpy's limit."""
+    path = tmp_path / "wide.csv"
+    rows = 2 if cols == "100000000000" else 1
+    path.write_text(f"# {rows} {cols}\n" + "1+0j\n" * rows)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"row 0 has 1 entries, expected {cols}" in err
+
+
 def test_verify_rejects_conflicting_inputs(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--in", "whatever.csv", "--r", "2", "--n", "2")
     assert code == 1

@@ -23,6 +23,7 @@ from nonpaving import (
     sidecar_dict,
     FrameFamily,
 )
+from nonpaving import constructions, frame_ops
 
 from oracles import closed_form_r2, delta_fraction, partial_sum_fraction
 
@@ -234,8 +235,45 @@ def test_general_families_are_unit_norm_r_tight(r, n):
     npt.assert_allclose(row_square_sums(fam.vectors), np.ones(r * r * n), atol=1e-10)
     lo, hi = frame_bounds(fam)
     assert abs(lo - r) <= 1e-8 and abs(hi - r) <= 1e-8
-    assert fam.claimed_tightness == float(r)
     assert not fam.vacuous
+
+
+def test_one_build_checks_its_schedule_and_tightness_once(monkeypatch):
+    """One (3, 2) build makes one schedule (six delta evaluations: the
+    formula and its confirmation), validates (r, n) three times, and decides
+    tightness with one is_tight_frame call on one frame_bounds call."""
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counting(constructions.DeltaSchedule, "__post_init__")
+    counting(constructions, "_delta_value")
+    counting(constructions, "_validate_r_n")
+    counting(frame_ops, "is_tight_frame")
+    counting(frame_ops, "frame_bounds")
+    fam = build_nonpavable_general(3, 2)
+    assert calls == {
+        "__post_init__": 1,
+        "_delta_value": 6,
+        "_validate_r_n": 3,
+        "is_tight_frame": 1,
+        "frame_bounds": 1,
+    }
+    assert fam.layout.schedule is fam.schedule
+
+
+def test_block_rows_span_each_block():
+    layout = block_layout(3, 2)
+    assert [layout.block_rows(k) for k in (1, 2, 3)] == [range(0, 6), range(6, 12), range(12, 18)]
+    with pytest.raises(ValueError):
+        layout.block_rows(4)
 
 
 def test_sidecar_dict_round_trips_the_layout():
@@ -285,7 +323,7 @@ def test_doubled_family_zero_steps_is_input():
 
 
 def test_doubled_family_twice_on_two_ones():
-    seed = FrameFamily(np.array([[1.0], [1.0]], dtype=complex), claimed_tightness=2.0)
+    seed = FrameFamily(np.array([[1.0], [1.0]], dtype=complex))
     out = doubled_family(seed, 2)
     assert out.vectors.shape == (8, 4)
     npt.assert_allclose(row_square_sums(out.vectors), np.ones(8), atol=1e-12)

@@ -8,6 +8,7 @@ from nonpaving import (
     FrameFamily,
     InternalInconsistencyError,
     ProjectionMatrix,
+    StackedDftFrame,
     build_nonpavable_general,
     build_nonpavable_r2,
     complement_duality_check,
@@ -67,27 +68,15 @@ def test_frame_operator_shares_nonzero_spectrum_with_gram():
 
 
 # ---------------------------------------------------------------------------
-# FrameFamily claims
+# the tightness rule on built families
 # ---------------------------------------------------------------------------
 
-def test_confirmed_claim_is_kept():
-    fam = FrameFamily(np.array([[1.0], [1.0]], dtype=complex), claimed_tightness=2.0)
-    assert fam.claimed_tightness == 2.0
-
-
-def test_wrong_claim_is_rejected():
-    with pytest.raises(ValueError):
-        FrameFamily(np.array([[1.0], [1.0]], dtype=complex), claimed_tightness=3.0)
-
-
-def test_claim_requires_spanning_shape():
-    with pytest.raises(ValueError):
-        FrameFamily(np.array([[1.0, 0.0]], dtype=complex), claimed_tightness=1.0)
-
-
-def test_claim_must_be_positive():
-    with pytest.raises(ValueError):
-        FrameFamily(np.eye(2, dtype=complex), claimed_tightness=-1.0)
+def test_non_tight_stacked_family_is_rejected():
+    fam = build_nonpavable_general(2, 2)
+    vectors = np.array(fam.vectors)
+    vectors[0] *= 1.01
+    with pytest.raises(ValueError, match="not 2.0-tight"):
+        StackedDftFrame(vectors, 2, 2, fam.schedule, fam.layout)
 
 
 def test_vectors_are_read_only():

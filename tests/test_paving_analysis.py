@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nonpaving.paving_analysis as pa
 from nonpaving import (
     CertificationError,
     FrameFamily,
@@ -303,6 +304,19 @@ def test_certification_mode_validation():
 def test_certification_respects_budget():
     with pytest.raises(ResourceLimitError):
         certify_nonpavable(build_nonpavable_general(3, 2), "exhaustive", budget=100)
+
+
+def test_budget_is_checked_before_the_gram(monkeypatch):
+    """2^32 assignments for (2, 8) are refused before the Gram is formed."""
+    def no_gram(_):
+        raise AssertionError("gram formed before the budget check")
+
+    monkeypatch.setattr(pa, "gram", no_gram)
+    fam = build_nonpavable_general(2, 8)
+    with pytest.raises(ResourceLimitError):
+        certify_nonpavable(fam, "exhaustive")
+    with pytest.raises(ResourceLimitError):
+        best_partition_riesz(fam, 2)
 
 
 def test_certification_json_shape():
