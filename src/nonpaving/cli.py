@@ -29,10 +29,9 @@ from .errors import (
     MatrixParseError,
     ResourceLimitError,
 )
-from .frame_ops import FrameFamily, is_tight_frame, projection_failures, projection_numbers
+from .frame_ops import _classify_tightness, projection_failures, projection_numbers
 from .matrix_core import (
-    col_square_sums,
-    column_orthogonality_defect,
+    _column_pass,
     gram,
     read_matrix_csv,
     row_square_sums,
@@ -188,8 +187,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[dict, list]:
     failed: list[str] = []
     rows = row_square_sums(matrix)
-    cols = col_square_sums(matrix)
-    defect = column_orthogonality_defect(matrix)
+    column_pass = _column_pass(matrix)
+    _, _, defect, cols = column_pass
 
     if float(np.max(np.abs(rows - 1.0))) > tol_construct:
         failed.append("row-square-sums")
@@ -199,9 +198,8 @@ def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[
     if defect > tol_construct:
         failed.append("column-orthogonality")
 
-    family = FrameFamily(matrix)
     try:
-        tight = is_tight_frame(family, tol_eig)
+        tight = _classify_tightness(column_pass, tol_eig)
     except InternalInconsistencyError:
         tight = None
     if tight is None:

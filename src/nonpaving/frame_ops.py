@@ -4,8 +4,11 @@ A frame family is a list of M vectors in C^d, stored as the rows of an
 M x d matrix. Frame bounds are the extreme eigenvalues of the frame operator
 S = sum_i f_i f_i^*; a family is A-tight when both bounds equal A, which is
 the same as saying its matrix has orthogonal columns whose square sums all
-equal A. Scaling an M x d unit-norm A-tight family by 1/sqrt(A) turns its
-Gram matrix into a rank-d orthogonal projection with constant diagonal 1/A.
+equal A. Tightness is decided from one product V^*V of the family's matrix
+V, which gives both the frame bounds and the column characterization
+(`matrix_core._column_pass`). Scaling an M x d unit-norm A-tight family by
+1/sqrt(A) turns its Gram matrix into a rank-d orthogonal projection with
+constant diagonal 1/A.
 """
 
 import math
@@ -15,9 +18,8 @@ import numpy as np
 
 from .errors import InternalInconsistencyError
 from .matrix_core import (
+    _column_pass,
     as_complex_matrix,
-    col_square_sums,
-    column_orthogonality_defect,
     gram,
     hermitian_extremal_eig,
     require_hermitian,
@@ -133,25 +135,25 @@ def frame_bounds(family: FrameFamily) -> tuple[float, float]:
     operator's nonzero spectrum coincides with the Gram matrix's, so these
     agree with extremes computed from gram() whenever the family spans.
     """
-    V = family.vectors
-    if V.shape[1] < 1:
-        raise ValueError("ambient dimension must be >= 1")
-    S = V.conj().T @ V
-    S = 0.5 * (S + S.conj().T)
-    w = np.linalg.eigvalsh(S)
-    return float(w[0]), float(w[-1])
+    return _column_pass(family.vectors)[:2]
 
 
-def _classify_tightness(spread, a_spec, col_dev, a_col, tol):
-    """Combine the spectral and column tightness verdicts.
+def _classify_tightness(column_pass, tol):
+    """Tightness constant within tol from a `_column_pass` result, else None.
 
-    Both pass -> tight, return the spectral constant (the constants must
-    agree within 10*tol), unless it is not positive: a zero family spans
-    nothing and is not tight. Both fail -> not tight. Split verdicts are
-    tolerated while the failing side is within 10*tol, beyond which the two
-    mathematically equivalent characterizations have genuinely diverged and
-    an InternalInconsistencyError is raised.
+    The spectral verdict is a frame-bound spread at most tol, with constant
+    the bounds' midpoint; the column verdict is a defect and a spread of
+    the column square sums about their mean both at most tol. Both pass ->
+    tight, return the spectral constant (the constants must agree within
+    10*tol), unless it is not positive: a zero family spans nothing and is
+    not tight. Both fail -> not tight. Split verdicts are tolerated while
+    the failing side is within 10*tol, beyond which the two mathematically
+    equivalent characterizations have diverged: InternalInconsistencyError.
     """
+    lo, hi, defect, sums = column_pass
+    spread, a_spec = hi - lo, 0.5 * (lo + hi)
+    a_col = float(np.mean(sums))
+    col_dev = max(defect, float(np.max(np.abs(sums - a_col))))
     tight_spec = spread <= tol
     tight_col = col_dev <= tol
     if tight_spec and tight_col:
@@ -180,14 +182,7 @@ def is_tight_frame(family: FrameFamily, tol: float = FRAME_CONFIRM_TOL) -> float
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lo, hi = frame_bounds(family)
-    spread = hi - lo
-    a_spec = 0.5 * (lo + hi)
-    defect = column_orthogonality_defect(family.vectors)
-    sums = col_square_sums(family.vectors)
-    a_col = float(np.mean(sums))
-    col_dev = max(defect, float(np.max(np.abs(sums - a_col))))
-    return _classify_tightness(spread, a_spec, col_dev, a_col, tol)
+    return _classify_tightness(_column_pass(family.vectors), tol)
 
 
 def _require_tight(family: FrameFamily, tightness: float) -> None:
@@ -240,8 +235,7 @@ def complement_duality_check(proj: ProjectionMatrix, subset) -> tuple[float, flo
     idx = _validate_subset(subset, proj.dim)
     sub = proj.matrix[np.ix_(idx, idx)]
     riesz_side = hermitian_extremal_eig(sub, "min")
-    comp = np.eye(proj.dim, dtype=np.complex128) - proj.matrix
-    paving_side = hermitian_extremal_eig(comp[np.ix_(idx, idx)], "max")
+    paving_side = hermitian_extremal_eig(np.eye(len(idx), dtype=np.complex128) - sub, "max")
     if abs(riesz_side + paving_side - 1.0) > 1e-8:
         raise InternalInconsistencyError(
             f"duality identity violated: {riesz_side} + {paving_side} != 1"

@@ -132,14 +132,22 @@ def hermitian_extremal_eig(h, which: str) -> float:
     return float(w[0] if which == "min" else w[-1])
 
 
+def _column_pass(V: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """(lower, upper, defect, sums) of a complex V with columns, from one S = V^*V:
+    the frame bounds of V's rows (extreme eigenvalues of (S + S^*)/2), the
+    largest |S_ij| over i != j, and the column square sums."""
+    if V.shape[1] < 1:
+        raise ValueError("ambient dimension must be >= 1")
+    S = V.conj().T @ V
+    w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+    np.fill_diagonal(S, 0.0)
+    return float(w[0]), float(w[-1]), float(np.max(np.abs(S))), np.sum(np.abs(V) ** 2, axis=0)
+
+
 def column_orthogonality_defect(a) -> float:
     """Largest |<col_i, col_j>| over i != j; 0.0 for single-column input."""
     A = as_complex_matrix(a)
-    if A.shape[1] < 2:
-        return 0.0
-    M = A.conj().T @ A
-    np.fill_diagonal(M, 0.0)
-    return float(np.max(np.abs(M)))
+    return _column_pass(A)[2] if A.shape[1] > 1 else 0.0
 
 
 def row_square_sums(a) -> np.ndarray:
@@ -173,10 +181,14 @@ def write_matrix_csv(a, path) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix written by write_matrix_csv.
 
-    Raises MatrixParseError on any structural problem: missing or malformed
-    header, wrong row/column counts, unparseable or non-finite entries.
+    Raises MatrixParseError on any structural problem: text that is not
+    UTF-8, missing or malformed header, wrong row/column counts, unparseable
+    or non-finite entries, or a row or column whose square sum overflows.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise MatrixParseError(f"{path}: missing '# rows cols' header")
@@ -208,4 +220,10 @@ def read_matrix_csv(path) -> np.ndarray:
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 raise MatrixParseError(f"{path}: non-finite entry at ({i}, {j})")
             out[i, j] = z
+    with np.errstate(over="ignore"):
+        squares = np.abs(out) ** 2
+        for axis, what in ((1, "row"), (0, "column")):
+            bad = np.flatnonzero(~np.isfinite(np.sum(squares, axis=axis)))
+            if bad.size:
+                raise MatrixParseError(f"{path}: square sum of {what} {bad[0]} is not finite")
     return _frozen(out)

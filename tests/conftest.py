@@ -5,11 +5,15 @@ checked-out package from a plain checkout (no ``pip install``) whatever the
 working directory.  It is prepended to ``sys.path`` for the test process and
 to ``PYTHONPATH`` for every subprocess a test starts, such as
 ``python -m nonpaving`` run with ``cwd=tmp_path``.
+
+The ``column_passes`` fixture counts the package's column products V^*V.
 """
 
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -19,3 +23,22 @@ if SRC not in sys.path:
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 )
+
+
+@pytest.fixture
+def column_passes(monkeypatch):
+    """List of the shapes passed to `matrix_core._column_pass`, the one place
+    that forms V^*V, wherever a package module binds it, one entry per call."""
+    from nonpaving import matrix_core
+
+    original = matrix_core._column_pass
+    shapes = []
+
+    def counting(V):
+        shapes.append(V.shape)
+        return original(V)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nonpaving") and getattr(module, "_column_pass", None) is original:
+            monkeypatch.setattr(module, "_column_pass", counting)
+    return shapes

@@ -6,7 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nonpaving import dft_matrix, read_matrix_csv, write_matrix_csv
+from nonpaving import (
+    FrameFamily,
+    build_nonpavable_general,
+    dft_matrix,
+    read_matrix_csv,
+    write_matrix_csv,
+)
 from nonpaving.cli import main
 
 
@@ -146,6 +152,50 @@ def test_verify_oversized_header_is_exit_2(tmp_path, capsys, cols):
     assert code == 2
     assert out == ""
     assert f"row 0 has 1 entries, expected {cols}" in err
+
+
+def test_verify_non_utf8_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"# 1 1\n\xff\xfe\n")
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nonpaving: parse error:") and "latin.csv" in err
+
+
+@pytest.mark.parametrize("text,where", [
+    ("# 1 1\n1e200+0j\n", "row 0"),  # the entry squares to inf
+    ("# 1 2\n1e154+0j,1e154+0j\n", "row 0"),  # finite squares, infinite row sum
+    ("# 2 1\n1e154+0j\n1e154+0j\n", "column 0"),  # finite row sums, infinite column sum
+], ids=["entry", "row-sum", "column-sum"])
+def test_verify_overflowing_square_sum_is_exit_2(tmp_path, capsys, text, where):
+    path = tmp_path / "huge.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nonpaving: parse error:")
+    assert f"square sum of {where} is not finite" in err
+
+
+def test_verify_in_forms_one_column_product_and_no_family(tmp_path, capsys, column_passes,
+                                                          monkeypatch):
+    path = tmp_path / "fam.csv"
+    write_matrix_csv(build_nonpavable_general(3, 2).vectors, path)
+    families = []
+    original = FrameFamily.__post_init__
+    monkeypatch.setattr(FrameFamily, "__post_init__",
+                        lambda self: families.append(1) or original(self))
+    column_passes.clear()
+    assert run(capsys, "verify", "--in", str(path))[0] == 0
+    assert column_passes == [(18, 6)]
+    assert families == []
+
+
+def test_verify_in_memory_forms_two_column_products(capsys, column_passes):
+    # one for the build's tightness rule, one for the report
+    assert run(capsys, "verify", "--r", "3", "--n", "2")[0] == 0
+    assert column_passes == [(18, 6), (18, 6)]
 
 
 def test_verify_rejects_conflicting_inputs(tmp_path, capsys):

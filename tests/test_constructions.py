@@ -238,10 +238,11 @@ def test_general_families_are_unit_norm_r_tight(r, n):
     assert not fam.vacuous
 
 
-def test_one_build_checks_its_schedule_and_tightness_once(monkeypatch):
+def test_one_build_checks_its_schedule_and_tightness_once(monkeypatch, column_passes):
     """One (3, 2) build makes one schedule (six delta evaluations: the
     formula and its confirmation), validates (r, n) three times, and decides
-    tightness with one is_tight_frame call on one frame_bounds call."""
+    tightness with one is_tight_frame call on one column product V^*V and
+    one eigensolve."""
     calls = {}
 
     def counting(owner, name):
@@ -257,15 +258,16 @@ def test_one_build_checks_its_schedule_and_tightness_once(monkeypatch):
     counting(constructions, "_delta_value")
     counting(constructions, "_validate_r_n")
     counting(frame_ops, "is_tight_frame")
-    counting(frame_ops, "frame_bounds")
+    counting(np.linalg, "eigvalsh")
     fam = build_nonpavable_general(3, 2)
     assert calls == {
         "__post_init__": 1,
         "_delta_value": 6,
         "_validate_r_n": 3,
         "is_tight_frame": 1,
-        "frame_bounds": 1,
+        "eigvalsh": 1,
     }
+    assert column_passes == [(18, 6)]
     assert fam.layout.schedule is fam.schedule
 
 

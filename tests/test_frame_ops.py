@@ -110,24 +110,40 @@ def test_tol_must_be_positive():
         is_tight_frame(two_ones(), tol=0.0)
 
 
+def column_pass(lo, hi, defect, sums):
+    # a _column_pass result: frame bounds, orthogonality defect, column square sums
+    return lo, hi, defect, np.array(sums)
+
+
 def test_classify_tightness_agreeing_verdicts():
-    assert _classify_tightness(1e-12, 2.0, 1e-12, 2.0, 1e-8) == 2.0
-    assert _classify_tightness(0.5, 2.0, 0.4, 2.0, 1e-8) is None
+    tight = column_pass(2.0 - 5e-13, 2.0 + 5e-13, 1e-12, [2.0, 2.0])
+    assert _classify_tightness(tight, 1e-8) == pytest.approx(2.0, abs=1e-12)
+    assert _classify_tightness(column_pass(1.75, 2.25, 0.4, [2.0, 2.0]), 1e-8) is None
 
 
 def test_classify_tightness_split_verdict_within_slack():
     # one side barely over tol: tolerated, classified not tight
-    assert _classify_tightness(5e-8, 2.0, 1e-12, 2.0, 1e-8) is None
+    assert _classify_tightness(column_pass(2.0, 2.0 + 5e-8, 1e-12, [2.0, 2.0]), 1e-8) is None
+    assert _classify_tightness(column_pass(2.0, 2.0, 0.0, [2.0, 2.0 + 5e-8]), 1e-8) is None
 
 
 def test_classify_tightness_split_verdict_beyond_slack():
     with pytest.raises(InternalInconsistencyError):
-        _classify_tightness(1e-3, 2.0, 1e-12, 2.0, 1e-8)
+        _classify_tightness(column_pass(2.0, 2.001, 1e-12, [2.0, 2.0]), 1e-8)
 
 
 def test_classify_tightness_constant_disagreement():
     with pytest.raises(InternalInconsistencyError):
-        _classify_tightness(1e-12, 2.0, 1e-12, 2.1, 1e-8)
+        _classify_tightness(column_pass(2.0, 2.0, 1e-12, [2.1, 2.1]), 1e-8)
+
+
+def test_is_tight_frame_forms_one_column_product(column_passes):
+    fam = build_nonpavable_general(3, 2)
+    column_passes.clear()
+    assert is_tight_frame(fam) == pytest.approx(3.0, abs=1e-8)
+    assert column_passes == [(18, 6)]
+    assert frame_bounds(fam) == pytest.approx((3.0, 3.0), abs=1e-8)
+    assert column_passes == [(18, 6), (18, 6)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, every
+top-level private helper is used somewhere in the package, and the column
+product V^*V is written once.
 
-`__init__.py` is skipped: its imports are the public re-exports.
+`__init__.py` is skipped by the import check: its imports are the public
+re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -25,11 +29,76 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _private_definitions(stmt) -> list[str]:
+    """Top-level `_name` functions, classes and constants a statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        names = [stmt.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _referenced(stmt) -> set[str]:
+    """Names a statement reads, as bare names, attributes or `from` imports."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level private names no statement references outside their own definition.
+
+    `sources` maps module names to source text; a reference in any module counts.
+    """
+    stmts = [stmt for source in sources.values() for stmt in ast.parse(source).body]
+    refs = [_referenced(stmt) for stmt in stmts]
+    unused = []
+    for i, stmt in enumerate(stmts):
+        for name in _private_definitions(stmt):
+            if not any(name in r for j, r in enumerate(refs) if j != i):
+                unused.append(name)
+    return unused
+
+
 def test_checker_sees_unused_names():
     source = "import math\nimport numpy as np\nfrom itertools import product, chain\nnp.zeros(chain)\n"
     assert unused_imports(source) == ["math", "product"]
 
 
+def test_checker_sees_orphaned_private_helpers():
+    core = (
+        "_LIMIT = 3\n_SPARE: int = 4\n"
+        "def _used():\n    return _LIMIT\n"
+        "def _recursive(k):\n    return _recursive(k - 1) if k else 0\n"
+        "def _imported():\n    return 1\n"
+        "def public():\n    return _used()\n"
+    )
+    other = "from .core import _imported\n"
+    assert unused_private_names({"core": core, "other": other}) == ["_SPARE", "_recursive"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_private_helper_is_used():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unused_private_names(sources) == []
+
+
+def test_column_product_is_written_once():
+    product = re.compile(r"\b(\w+)\.conj\(\)\.T\s*@\s*\1\b")
+    sites = [(p.name, m.group(0)) for p in SRC.glob("*.py")
+             for m in product.finditer(p.read_text(encoding="utf-8"))]
+    assert sites == [("matrix_core.py", "V.conj().T @ V")]
