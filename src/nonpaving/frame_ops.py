@@ -151,7 +151,7 @@ def _classify_tightness(column_pass, tol):
     equivalent characterizations have diverged: InternalInconsistencyError.
     """
     lo, hi, defect, sums = column_pass
-    spread, a_spec = hi - lo, 0.5 * (lo + hi)
+    spread, a_spec = hi - lo, 0.5 * lo + 0.5 * hi
     a_col = float(np.mean(sums))
     col_dev = max(defect, float(np.max(np.abs(sums - a_col))))
     tight_spec = spread <= tol

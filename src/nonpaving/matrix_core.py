@@ -12,6 +12,7 @@ Conventions, fixed once:
 """
 
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -135,13 +136,24 @@ def hermitian_extremal_eig(h, which: str) -> float:
 def _column_pass(V: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     """(lower, upper, defect, sums) of a complex V with columns, from one S = V^*V:
     the frame bounds of V's rows (extreme eigenvalues of (S + S^*)/2), the
-    largest |S_ij| over i != j, and the column square sums."""
+    largest |S_ij| over i != j, and the column square sums.
+
+    V is first scaled by the power of two 2^-e that brings its largest real or
+    imaginary part into [0.5, 1), so S cannot overflow whatever V's magnitude;
+    bounds and defect are scaled back by 2^2e (inf if the true value is not
+    representable). Power-of-two scaling is exact for normal numbers."""
     if V.shape[1] < 1:
         raise ValueError("ambient dimension must be >= 1")
+    sums = np.sum(np.abs(V) ** 2, axis=0)
+    parts = V.view(np.float64)
+    e = math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+    V = np.ldexp(parts, -e).view(np.complex128)
     S = V.conj().T @ V
     w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
     np.fill_diagonal(S, 0.0)
-    return float(w[0]), float(w[-1]), float(np.max(np.abs(S))), np.sum(np.abs(V) ** 2, axis=0)
+    with np.errstate(over="ignore"):
+        lo, hi, defect = np.ldexp([w[0], w[-1], np.max(np.abs(S))], 2 * e)
+    return float(lo), float(hi), float(defect), sums
 
 
 def column_orthogonality_defect(a) -> float:
@@ -167,15 +179,54 @@ def write_matrix_csv(a, path) -> None:
 
     Entries are serialized as re{sign}imj tokens (e.g. 0.5-0.5j) with 17
     significant digits, so files are byte-stable and round-trip exactly.
+    Each distinct entry (by bit pattern, so -0.0 stays apart from 0.0) is
+    formatted once, before the file is opened; rows are then gathered from
+    those tokens and streamed to the file one line at a time.
     A matrix with no rows or columns raises ValueError: the reader refuses it.
     """
     A = as_complex_matrix(a)
-    if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"cannot write a {A.shape[0]} x {A.shape[1]} matrix: need at least 1 x 1")
-    lines = [f"# {A.shape[0]} {A.shape[1]}"]
-    for row in A:
-        lines.append(",".join(format_complex(z) for z in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows, cols = A.shape
+    if rows < 1 or cols < 1:
+        raise ValueError(f"cannot write a {rows} x {cols} matrix: need at least 1 x 1")
+    keys, slots = np.unique(A.view((np.void, 16)).ravel(), return_inverse=True)
+    tokens = np.array([format_complex(z) for z in keys.view(np.complex128)], dtype=object)
+    slots = slots.reshape(rows, cols)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# {rows} {cols}\n")
+        for row in slots:
+            fh.write(",".join(tokens[row].tolist()) + "\n")
+
+
+class _TokenSlots(dict):
+    """Stripped token text -> slot in `values`; a new token is parsed on lookup.
+
+    `complex()` and the finiteness check run once per distinct token; either
+    failing raises ValueError, and the caller locates the first bad entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.values: list[complex] = []
+
+    def __missing__(self, tok: str) -> int:
+        z = complex(tok)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError(f"non-finite entry {tok!r}")
+        slot = self[tok] = len(self.values)
+        self.values.append(z)
+        return slot
+
+
+def _first_bad_entry(path, body: list[str]) -> MatrixParseError:
+    """The error for the first unparseable or non-finite entry in row-major order."""
+    for i, line in enumerate(body):
+        for j, tok in enumerate(t.strip() for t in line.split(",")):
+            try:
+                z = complex(tok)
+            except ValueError:
+                return MatrixParseError(f"{path}: bad entry {tok!r} at ({i}, {j})")
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                return MatrixParseError(f"{path}: non-finite entry at ({i}, {j})")
+    raise AssertionError("every entry parses")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -184,6 +235,10 @@ def read_matrix_csv(path) -> np.ndarray:
     Raises MatrixParseError on any structural problem: text that is not
     UTF-8, missing or malformed header, wrong row/column counts, unparseable
     or non-finite entries, or a row or column whose square sum overflows.
+    Header and row widths are checked before anything is allocated. Each
+    distinct token is parsed once and the entries are gathered from those
+    values; when a token fails, the entries are walked in row-major order
+    so the error names the first bad one as (i, j).
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -210,16 +265,13 @@ def read_matrix_csv(path) -> np.ndarray:
             raise MatrixParseError(
                 f"{path}: row {i} has {line.count(',') + 1} entries, expected {cols}"
             )
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    for i, line in enumerate(body):
-        for j, tok in enumerate(t.strip() for t in line.split(",")):
-            try:
-                z = complex(tok)
-            except ValueError:
-                raise MatrixParseError(f"{path}: bad entry {tok!r} at ({i}, {j})") from None
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise MatrixParseError(f"{path}: non-finite entry at ({i}, {j})")
-            out[i, j] = z
+    slots = _TokenSlots()
+    tokens = map(str.strip, chain.from_iterable(line.split(",") for line in body))
+    try:
+        index = np.fromiter(map(slots.__getitem__, tokens), dtype=np.intp, count=rows * cols)
+    except ValueError:
+        raise _first_bad_entry(path, body) from None
+    out = np.array(slots.values, dtype=np.complex128)[index].reshape(rows, cols)
     with np.errstate(over="ignore"):
         squares = np.abs(out) ** 2
         for axis, what in ((1, "row"), (0, "column")):

@@ -249,3 +249,23 @@ def flat_sampled_values(gram_matrix, vectors, r, n, count, seed):
         witness = oracle_witness(v, labels, r, n)
         best_k, best = (None, None) if witness is None else (witness[0], witness[4])
         yield labels, bounds, value, best_k, best
+
+
+# ---------------------------------------------------------------------------
+# matrix CSV text, one entry at a time
+# ---------------------------------------------------------------------------
+
+def matrix_csv_by_entries(matrix):
+    """The matrix CSV text, each entry written on its own with format(x, ".17g").
+
+    The imaginary part's sign is taken with copysign, so -0.0 gives '-0j'.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    lines = [f"# {m.shape[0]} {m.shape[1]}"]
+    for row in m:
+        tokens = []
+        for z in row:
+            sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+            tokens.append(format(z.real, ".17g") + sign + format(abs(z.imag), ".17g") + "j")
+        lines.append(",".join(tokens))
+    return "\n".join(lines) + "\n"

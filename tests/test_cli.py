@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -176,6 +177,41 @@ def test_verify_overflowing_square_sum_is_exit_2(tmp_path, capsys, text, where):
     assert out == ""
     assert err.startswith("nonpaving: parse error:")
     assert f"square sum of {where} is not finite" in err
+
+
+_ROW = ",".join(["0.5+0.5j"] * 50) + "\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("# 100 50\n" + _ROW * 99 + _ROW.replace("0.5+0.5j\n", "0.5+0.5i\n"),
+     "bad entry '0.5+0.5i' at (99, 49)"),
+    ("# 2 3\n1+0j,nan+0j,1+0j\nnan+0j,1+0j,nan+0j\n", "non-finite entry at (0, 1)"),
+    ("# 2 3\n1+0j,1+0j,inf+0j\ninf+0j,inf+0j,1+0j\n", "non-finite entry at (0, 2)"),
+    ("# 2 3\n1+0j,1+0j,zzz\naaa,1+0j,1+0j\n", "bad entry 'zzz' at (0, 2)"),
+    ("# 2 2\n1+0j,inf+0j\nbad,1+0j\n", "non-finite entry at (0, 1)"),
+], ids=["after-duplicates", "repeated-nan", "repeated-inf", "first-of-two-bad",
+        "non-finite-before-bad"])
+def test_verify_names_first_bad_entry_in_row_major_order(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"nonpaving: parse error: {path}: {message}\n"
+
+
+def test_verify_huge_entry_is_tight_without_overflow(tmp_path, capsys):
+    """A single nonzero vector is tight whatever its size: |1e154|^2 = 1e308 is
+    finite, and the column product must not overflow on the way to it."""
+    path = tmp_path / "big.csv"
+    path.write_text("# 1 1\n1e154+0j\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+    report = json.loads(out)
+    assert code == 3
+    assert "tightness" not in report["failed_checks"]
+    assert report["tight_constant"] == 1e308
 
 
 def test_verify_in_forms_one_column_product_and_no_family(tmp_path, capsys, column_passes,

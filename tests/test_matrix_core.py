@@ -3,9 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nonpaving import (
     MatrixParseError,
+    build_nonpavable_general,
     col_square_sums,
     column_orthogonality_defect,
     dft_matrix,
@@ -16,8 +19,10 @@ from nonpaving import (
     scale_columns,
     write_matrix_csv,
 )
+from nonpaving import matrix_core
+from nonpaving.constructions import doubled_family
 
-from oracles import dft_by_loops, jacobi_hermitian_eigenvalues
+from oracles import dft_by_loops, jacobi_hermitian_eigenvalues, matrix_csv_by_entries
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +198,24 @@ def test_dft_square_sums_are_one(n):
     npt.assert_allclose(col_square_sums(u), np.ones(n), atol=1e-13)
 
 
+def test_column_pass_of_huge_entry_does_not_overflow():
+    with np.errstate(all="raise"):
+        lo, hi, defect, sums = matrix_core._column_pass(np.array([[1e154 + 0j]]))
+    assert (lo, hi, defect, sums.tolist()) == (1e308, 1e308, 0.0, [1e308])
+
+
+def test_column_pass_scaling_is_exact():
+    # scaling V by a power of two moves no bit of bounds or defect
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, d = rng.integers(1, 10, size=2)
+        V = (rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))) * 10.0 ** rng.integers(-6, 7)
+        S = V.conj().T @ V
+        w = np.linalg.eigvalsh(0.5 * (S + S.conj().T))
+        np.fill_diagonal(S, 0.0)
+        assert matrix_core._column_pass(V)[:3] == (w[0], w[-1], np.max(np.abs(S)))
+
+
 # ---------------------------------------------------------------------------
 # CSV round trip
 # ---------------------------------------------------------------------------
@@ -252,4 +275,60 @@ def test_csv_write_rejects_empty_shape(tmp_path, shape):
     # read_matrix_csv refuses a '# 0 3' header, so the writer must not make one
     with pytest.raises(ValueError, match="at least 1 x 1"):
         write_matrix_csv(np.zeros(shape), tmp_path / "never.csv")
+    assert not (tmp_path / "never.csv").exists()
+
+
+# Both zeros, a subnormal, the largest decades and a few repeated phases: the
+# values whose bit patterns a distinct-value writer could merge or mangle.
+_PARTS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.0, -0.5, 1 / 3]
+_PHASES = [np.exp(2j * np.pi * k / 8) / math.sqrt(8) for k in range(8)]
+_ENTRIES = st.one_of(st.builds(complex, st.sampled_from(_PARTS), st.sampled_from(_PARTS)),
+                     st.sampled_from(_PHASES))
+
+
+@st.composite
+def _pooled_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=np.complex128).reshape(rows, cols)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(a=_pooled_matrices())
+def test_csv_bytes_match_entrywise_writer(tmp_path, a):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(a, path)
+    assert path.read_bytes() == matrix_csv_by_entries(a).encode("utf-8")
+    with np.errstate(over="ignore"):
+        squares = np.abs(a) ** 2
+        finite = all(np.all(np.isfinite(squares.sum(axis=k))) for k in (0, 1))
+    if finite:
+        assert read_matrix_csv(path).tobytes() == a.tobytes()
+    else:
+        with pytest.raises(MatrixParseError, match="is not finite"):
+            read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("make,distinct", [
+    (lambda: doubled_family(build_nonpavable_general(2, 4), 6).vectors, 54),
+    (lambda: build_nonpavable_general(8, 16).vectors, 1923),
+], ids=["double-r2-n4-k6", "build-r8-n16"])
+def test_csv_write_formats_each_distinct_entry_once(tmp_path, monkeypatch, make, distinct):
+    matrix = make()
+    calls = []
+    original = matrix_core.format_complex
+    monkeypatch.setattr(matrix_core, "format_complex", lambda z: calls.append(z) or original(z))
+    write_matrix_csv(matrix, tmp_path / "m.csv")
+    assert len(calls) == distinct
+    assert read_matrix_csv(tmp_path / "m.csv").tobytes() == matrix.tobytes()
+
+
+def test_csv_write_formats_before_opening(tmp_path, monkeypatch):
+    def failing(z):
+        raise ValueError("cannot format")
+
+    monkeypatch.setattr(matrix_core, "format_complex", failing)
+    with pytest.raises(ValueError, match="cannot format"):
+        write_matrix_csv(dft_matrix(4), tmp_path / "never.csv")
     assert not (tmp_path / "never.csv").exists()
