@@ -12,9 +12,13 @@ matrix wherever it is reported.
 
 Exhaustive questions over all r^M labeled partitions are answered by one
 depth-first branch-and-bound over label prefixes (`_partition_search`). It
-reports exactly what a walk over every partition in enumeration order
-reports, while computing a few thousand part bounds for (2, 4) instead of
-two per partition; its witness table takes one SVD call per subset size.
+walks one representative per symmetry orbit: restricted-growth labels (a
+relabeling keeps every part) and, on a stacked DFT family, lex-leaders under
+shifts and reflections of the row index of every block, starting from a
+structured incumbent. Orbits of the leaves near the best are re-evaluated,
+so it reports exactly what a walk over every partition in enumeration order
+reports, while computing 155 part bounds for (2, 4) instead of two per
+partition; its witness table takes one SVD call per subset size.
 Sampled certification keeps its draws as one label array and checks them
 with stacked eigensolves and SVDs, grouped by part size
 (`_sampled_part_bounds`, `_sampled_witnesses`). Every witness is picked by
@@ -173,7 +177,9 @@ class _SearchResult:
     partition is the first maximizer in lexicographic label order,
     part_bounds its per-part bounds (None for empty parts) and value their
     minimum, all exactly as `riesz_lower_bound` computes them; nodes counts the
-    label prefixes examined and eigensolves the part bounds computed.
+    label prefixes examined (one eigensolve each), rejected the prefixes the
+    symmetry test dropped before any eigensolve, and eigensolves every part
+    bound computed, the incumbent's and the orbit re-evaluation's included.
     """
 
     partition: Partition
@@ -181,30 +187,108 @@ class _SearchResult:
     value: float
     nodes: int
     eigensolves: int
+    rejected: int
 
 
-def _partition_search(
-    G: np.ndarray, num_parts: int, threshold: float = math.inf
-) -> _SearchResult:
-    """Max over labeled partitions of the min nonempty-part Riesz bound.
+class _NearThreshold(Exception):
+    """A symmetry-reduced search met a leaf within its window of the threshold."""
 
-    Branch-and-bound over label prefixes, depth first, children in label
-    order, so leaves come in the lexicographic order of their label tuples
-    (index 0 most significant), as in a flat walk over every assignment.
-    Rows are appended in index order, so each part's index list stays
-    sorted and its bound is computed from the same `G[np.ix_(idx, idx)]`
-    that `riesz_lower_bound` uses; a leaf's value is the min of those
-    per-part values, bit for bit the flat walk's value.
 
-    A prefix whose nonempty parts' min, plus `_prune_margin(G)`, is at or
-    below the best leaf so far is not extended: no leaf below it can be
-    strictly better, so the first maximizer is the flat walk's. Each
-    examined prefix (node) costs one eigensolve, for the part it changed.
+def _row_group(G: np.ndarray, block: int, margin: float) -> tuple[list[tuple[int, ...]], float]:
+    """Non-identity row maps of the dihedral group, and the window they cost.
 
-    The first leaf in lexicographic order whose value exceeds `threshold`
-    raises CertificationError: best never exceeds the threshold, so no
-    skipped leaf does either. Callers check num_parts**M, the number of
-    partitions the search covers, against their budget before forming G.
+    The maps send row a of every block of `block` rows to s*a + t mod block
+    (2*block maps with the identity, s = +-1). On a stacked DFT family the
+    exact Gram is invariant under the shifts and conjugated by s = -1; the
+    defect is the largest Frobenius norm of G[g, g] minus G (or conj(G)) over
+    every map g, so it bounds ||E||_2 for every principal submatrix E of those
+    differences and no bound compounds along words in the generators. The
+    maps are used only when the defect is at most `margin`; the window is
+    then 2 * margin + defect (see `_partition_search`). Otherwise, as for a
+    family whose rows were reordered, the group is trivial: ([], 0.0).
+    """
+    size = G.shape[0]
+    a = np.arange(size) % block
+    base = np.arange(size) - a
+    maps, defect = set(), 0.0
+    for sign in (1, -1):
+        target = G if sign == 1 else G.conj()
+        for shift in range(block):
+            g = base + (sign * a + shift) % block
+            defect = max(defect, float(np.linalg.norm(G[np.ix_(g, g)] - target)))
+            maps.add(tuple(g.tolist()))
+    maps.discard(tuple(range(size)))
+    if defect > margin:
+        return [], 0.0
+    return sorted(maps), 2.0 * margin + defect
+
+
+def _structured_labelings(family: StackedDftFrame, num_parts: int) -> np.ndarray:
+    """Labelings giving row a of block k the label (a + o_k) mod num_parts.
+
+    One row per offset vector o with o_1 = 0 (other o_1 only relabel the
+    parts); for r = 2 parts the two are the residue and alternating splits.
+    """
+    offsets = np.indices((1,) + (num_parts,) * (family.r - 1)).reshape(family.r, -1).T
+    a = np.arange(family.r * family.n)
+    return (a + offsets[:, :, None]).reshape(len(offsets), -1) % num_parts
+
+
+def _canonical(labels) -> tuple[int, ...]:
+    """The restricted-growth relabeling: parts numbered by first appearance."""
+    relabel: dict[int, int] = {}
+    # From a list, not a generator: CPython sizes a tuple built from a
+    # generator by resizing, and such tuples pile up in its free lists.
+    return tuple([relabel.setdefault(lab, len(relabel)) for lab in labels])
+
+
+def _undecided_maps(labels: list[int], i: int, maps: list) -> list | None:
+    """Maps whose image of the prefix labels[:i + 1] still ties it.
+
+    The image under g has label labels[g[x]] at x, known while g[x] <= i;
+    it is relabeled by first appearance, as `_canonical` does. Returns None
+    when some image is strictly smaller at its first known difference (no
+    completion of the prefix is then least in its orbit), else the maps
+    whose image is equal on every known position (a larger one stays larger
+    under every completion).
+    """
+    live = []
+    for g in maps:
+        relabel: dict[int, int] = {}
+        for x in range(i + 1):
+            y = g[x]
+            if y > i:
+                live.append(g)
+                break
+            c = relabel.setdefault(labels[y], len(relabel))
+            if c != labels[x]:
+                if c < labels[x]:
+                    return None
+                break
+        else:
+            live.append(g)
+    return live
+
+
+def _leader_search(
+    G: np.ndarray,
+    num_parts: int,
+    trigger: float,
+    maps: list,
+    window: float,
+    best: float,
+    work: dict[str, int],
+) -> tuple[list[int], list[float], float]:
+    """Labels, part values and value of the first maximizer over lex-leaders.
+
+    Walks restricted-growth label prefixes depth first, children in label
+    order, dropping those some map in `maps` sends to a smaller prefix and
+    those whose min part bound plus `_prune_margin(G)` and `window` is at or
+    below `best`. A leaf above `trigger` raises: CertificationError naming
+    it when `maps` is empty, _NearThreshold otherwise. Every leaf within
+    `window` of the best (when it is visited, and at the end) has each of its
+    images under `maps` evaluated; the first in lexicographic order of the
+    largest value wins. `work` accumulates nodes, rejected and eigensolves.
     """
     size = G.shape[0]
     margin = _prune_margin(G)
@@ -212,42 +296,131 @@ def _partition_search(
     parts: list[list[int]] = [[] for _ in range(num_parts)]
     values = [math.inf] * num_parts  # bound of each part; inf while empty
     labels = [0] * size
-    best = -math.inf
-    best_labels: list[int] = []
-    best_values: list[float] = []
-    nodes = eigensolves = 0
+    leaves = []
 
-    def descend(i: int) -> None:
-        nonlocal best, best_labels, best_values, nodes, eigensolves
-        for j in range(num_parts):
-            nodes += 1
+    def descend(i: int, used: int, alive: list) -> None:
+        nonlocal best
+        for j in range(min(used + 1, num_parts)):
             labels[i] = j
+            live = _undecided_maps(labels, i, alive)
+            if live is None:
+                work["rejected"] += 1
+                continue
+            work["nodes"] += 1
             part = parts[j]
             part.append(i)
             before = values[j]
             values[j] = _eig_min(G[np.ix_(part, part)])
-            eigensolves += 1
+            work["eigensolves"] += 1
             value = min(values)
             if i == last:
-                if value > threshold:
+                if value > trigger:
+                    if maps:
+                        raise _NearThreshold
                     raise CertificationError(
-                        f"partition keeps min-part bound {value} above {threshold}",
+                        f"partition keeps min-part bound {value} above {trigger}",
                         partition=partition_from_assignment(labels, num_parts),
                     )
-                if value > best:
-                    best, best_labels, best_values = value, labels[:], values[:]
-            elif value + margin > best:
-                descend(i + 1)
+                if value >= best - window:
+                    leaves.append((tuple(labels), values[:], value))
+                    best = max(best, value)
+            elif value + margin + window > best:
+                descend(i + 1, max(used, j + 1), live)
             part.pop()
             values[j] = before
 
-    descend(0)
+    try:
+        descend(0, 0, maps)
+    finally:
+        del descend  # the closure refers to itself: free G and the lists now, not at a full GC
+    pool = [leaf for leaf in leaves if leaf[2] >= best - window]
+    if maps:
+        seen = {leaf[0] for leaf in pool}
+        images = sorted({_canonical(leaf[0][y] for y in g) for leaf in pool for g in maps} - seen)
+        if images:
+            bounds = _sampled_part_bounds(G, np.array(images), num_parts)
+            work["eigensolves"] += int(np.isfinite(bounds).sum())
+            pool += [(lab, row.tolist(), float(row.min())) for lab, row in zip(images, bounds)]
+    return min(pool, key=lambda leaf: (-leaf[2], leaf[0]))
+
+
+def _partition_search(
+    G: np.ndarray,
+    num_parts: int,
+    threshold: float = math.inf,
+    family: StackedDftFrame | None = None,
+) -> _SearchResult:
+    """Max over labeled partitions of the min nonempty-part Riesz bound.
+
+    Reports exactly what a flat walk over every assignment in lexicographic
+    label order (index 0 most significant) reports: its first maximizer,
+    whose part bounds are computed from the same `G[np.ix_(idx, idx)]` as
+    `riesz_lower_bound` with sorted idx, so its value is bit for bit the
+    flat walk's. Rows are appended in index order, so each part's index
+    list stays sorted. The walk covers one representative per orbit of a
+    symmetry group, depth first over label prefixes (`_leader_search`):
+
+    - Relabeling. Permuting the labels keeps every part, so every bit; the
+      lexicographically least relabeling is the restricted-growth string,
+      and only those are walked. No window is needed for this.
+    - Rows. For a `StackedDftFrame` the exact Gram entry ((k,a),(l,b)) depends
+      on k, l and a - b mod rn only, and a -> -a conjugates it, so shifting
+      or reflecting the row index of every block keeps every part's exact
+      spectrum (`_row_group`). A prefix is dropped when some such map,
+      followed by relabeling, sends its known labels to a smaller prefix.
+    - Incumbent. The search starts from best = nextafter(v0, -inf), v0 the
+      largest value over `_structured_labelings` (the alternating split for
+      r = 2 attains delta_1 to rounding).
+
+    Window. eigvalsh returns a part bound within e = `_prune_margin(G)` / 2
+    of the exact one (see there). An image H' of a part matrix H under a
+    row map is permutation-similar to H (or conj(H)) plus a principal
+    submatrix of the measured differences, whose 2-norm is at most the
+    defect d (Weyl). So the computed values of a labeling and of its image
+    differ by at most margin + d, and the window w = 2 * margin + d covers
+    that with a margin to spare for the roundings of the sums it enters.
+    The flat walk's first maximizer F has value V, the largest computed
+    value; the least member c of its orbit (as relabeled by first
+    appearance) is walked, since it survives the symmetry test, and a
+    prefix above it is cut only when its value plus margin plus w is at or
+    below best <= V, while c's value is at least V - margin - d. So c is
+    recorded within w of the final best, its whole orbit is evaluated, and
+    the flat walk's rule over the evaluated labelings picks F: every
+    labeling of value V was evaluated the same way.
+
+    Threshold. A row-reduced walk that meets a leaf within w of `threshold`,
+    or starts from an incumbent there, is run again with the trivial row
+    group, whose walk still only cuts leaves at or below best <= threshold.
+    Since relabeling keeps bits, the first leaf in lexicographic order
+    above the threshold is a restricted-growth string, and that rerun
+    raises CertificationError with it. Otherwise every orbit member stays
+    below threshold - w + margin + d < threshold. Callers check
+    num_parts**M, the number of partitions the search covers, against their
+    budget before forming G.
+    """
+    work = {"nodes": 0, "rejected": 0, "eigensolves": 0}
+    maps, window, start = [], 0.0, -math.inf
+    if family is not None:
+        incumbents = _sampled_part_bounds(G, _structured_labelings(family, num_parts), num_parts)
+        work["eigensolves"] += int(np.isfinite(incumbents).sum())
+        start = math.nextafter(float(incumbents.min(axis=1).max()), -math.inf)
+        maps, window = _row_group(G, family.r * family.n, _prune_margin(G))
+    found = None
+    if maps and start <= threshold - window:
+        try:
+            found = _leader_search(G, num_parts, threshold - window, maps, window, start, work)
+        except _NearThreshold:
+            pass
+    if found is None:
+        found = _leader_search(G, num_parts, threshold, [], 0.0, min(start, threshold), work)
+    labels, values, value = found
     return _SearchResult(
-        partition_from_assignment(best_labels, num_parts),
-        tuple(None if v == math.inf else v for v in best_values),
-        best,
-        nodes,
-        eigensolves,
+        partition_from_assignment(labels, num_parts),
+        tuple(None if v == math.inf else v for v in values),
+        value,
+        work["nodes"],
+        work["eigensolves"],
+        work["rejected"],
     )
 
 
@@ -261,10 +434,12 @@ def best_partition_riesz(
     Exhaustive within the budget on num_parts**count assignments: an
     interlacing branch-and-bound covers every assignment and returns the
     first partition attaining the maximum in enumeration order, with the
-    minimum over nonempty parts of the part's Riesz bound.
+    minimum over nonempty parts of the part's Riesz bound. A built family
+    also gets the row symmetries and incumbent of `_partition_search`.
     """
     _check_assignment_budget(family.count, num_parts, budget)
-    result = _partition_search(gram(family.vectors), num_parts)
+    stacked = family if isinstance(family, StackedDftFrame) else None
+    result = _partition_search(gram(family.vectors), num_parts, family=stacked)
     return result.partition, result.value
 
 
@@ -393,12 +568,10 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
         )
     owner = {i: j for j, p in enumerate(partition.parts) for i in p}
     labels = np.array([[owner[i] for i in range(family.count)]])
-    ks, parts, _ = _sampled_witnesses(family, labels)
-    k, part = int(ks[0]), int(parts[0])
-    span = family.layout.block_rows(k)
-    rows = span.start + _members(labels[:, span.start:span.stop] == part)
-    coeff, achieved = _block_witnesses(family.vectors, rows, family.layout.band_columns(k))
-    wit = Witness(k, part, rows[0], coeff[0], float(achieved[0]))
+    kept = {}
+    ks, parts, achieved = _sampled_witnesses(family, labels, kept)
+    k = int(ks[0])
+    wit = Witness(k, int(parts[0]), *kept[k], float(achieved[0]))
     if wit.achieved_norm_sq > _witness_limit(family, k):
         raise InternalInconsistencyError(
             f"witness achieved {wit.achieved_norm_sq}, "
@@ -521,7 +694,7 @@ def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> n
 
 
 def _sampled_witnesses(
-    family: StackedDftFrame, labels: np.ndarray
+    family: StackedDftFrame, labels: np.ndarray, kept: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Witness block k, part and achieved norm of every drawn labeling.
 
@@ -529,6 +702,8 @@ def _sampled_witnesses(
     the most of its rows (ties to the lowest label), and the k of smallest
     achieved norm (ties to the first). InternalInconsistencyError is raised
     if some block has fewer than n rows in every part of some labeling.
+    Given a dict `kept` and a single labeling, block k's witness rows and
+    coefficients are stored in it under k, so none is computed twice.
     """
     r, n = family.r, family.n
     per_block = np.empty((len(labels), r - 1))
@@ -547,7 +722,9 @@ def _sampled_witnesses(
         for s in np.unique(sizes):
             draws = np.flatnonzero(sizes == s)
             rows = span.start + _members(block[draws] == chosen[draws, None])
-            _, per_block[draws, k - 1] = _block_witnesses(family.vectors, rows, band)
+            coeff, per_block[draws, k - 1] = _block_witnesses(family.vectors, rows, band)
+            if kept is not None:
+                kept[k] = rows[0], coeff[0]
     best = per_block.argmin(axis=1)
     return best + 1, parts[np.arange(len(labels)), best], per_block.min(axis=1)
 
@@ -580,7 +757,7 @@ def certify_nonpavable(
     """Certify that every checked partition leaves some part's bound small.
 
     mode "exhaustive" covers every labeled r-part partition of the rows
-    (within budget on r**M) with the branch-and-bound of
+    (within budget on r**M) with the symmetry-reduced branch-and-bound of
     `_partition_search`; mode "sampled" draws `count` assignments uniformly
     using the Philox stream for `seed` and checks them in stacks
     (`_sampled_part_bounds`, `_sampled_witnesses`). Each partition must
@@ -589,8 +766,9 @@ def certify_nonpavable(
     or draw order), and must yield valid witness coefficients, or
     InternalInconsistencyError is raised. Sampled draws fail in draw order,
     and a draw failing both checks fails the bound check. Exhaustive mode
-    checks witnesses once per block subset, stacked by subset size, before
-    the search: every entry of `_witness_table` must stay within
+    checks witnesses once per block subset, stacked by subset size, after
+    the search, so a partition above the threshold is reported first here
+    too: every entry of `_witness_table` must stay within
     delta_k + WITNESS_TOL, or InternalInconsistencyError names the (k, rows)
     that fails. The summary reports the worst (largest) min-part bound seen,
     with a full certificate for the first partition attaining it. Families
@@ -605,13 +783,13 @@ def certify_nonpavable(
             raise ValueError("count applies only to sampled mode")
         seed = None
         checked = _check_assignment_budget(family.count, r, budget)
+        res = _partition_search(gram(family.vectors), r, threshold=threshold, family=family)
         for (k, rows), achieved in _witness_table(family).items():
             if achieved > _witness_limit(family, k):
                 raise InternalInconsistencyError(
                     f"witness for block {k} rows {rows} achieved {achieved}, "
                     f"above delta_{k} = {family.schedule.deltas[k - 1]}"
                 )
-        res = _partition_search(gram(family.vectors), r, threshold=threshold)
         worst_partition, worst_bounds, worst_value = res.partition, res.part_bounds, res.value
     elif mode == "sampled":
         if count is None or count < 1:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -276,6 +277,26 @@ def test_certify_exhaustive_r2_n3(tmp_path, capsys):
     cert = json.loads((tmp_path / "cert.json").read_text())
     assert cert["partitions_checked"] == 4096
     assert cert["worst_min_part_bound"] <= 0.5 + 1e-8
+
+
+def test_commands_leave_no_reference_cycles(tmp_path, capsys):
+    """A dropped argparse parser (about 300 objects), or a search's
+    self-referencing closure, is cyclic garbage that holds its memory until
+    a full collection, so a process running many commands piles it up."""
+    assert run(capsys, "sweep", "--r", "2", "--n-list", "1")[0] == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, "certify", "--r", "2", "--n", "3", "--mode", "exhaustive",
+                   "--out", str(tmp_path / "c.json"))[0] == 0
+        assert run(capsys, "sweep", "--r", "2", "--n-list", "1,2,3")[0] == 0
+        assert run(capsys, "build", "--r", "3", "--n", "2", "--out", str(tmp_path / "f"))[0] == 0
+        gc.collect()
+        garbage = [type(o).__name__ for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_certify_sampled_r3_n2(tmp_path, capsys):

@@ -51,6 +51,7 @@ CASES = [
     pytest.param(lambda: build_nonpavable_general(2, 1), 2, id="r2n1"),
     pytest.param(lambda: build_nonpavable_general(2, 2), 2, id="r2n2"),
     pytest.param(lambda: build_nonpavable_general(2, 3), 2, id="r2n3"),
+    pytest.param(lambda: build_nonpavable_general(2, 4), 2, id="r2n4"),
     pytest.param(lambda: build_nonpavable_general(3, 1), 3, id="r3n1"),
     pytest.param(lambda: FrameFamily(np.eye(2, dtype=complex)), 2, id="orthonormal"),
     pytest.param(lambda: random_family(1, 8, 3), 2, id="random-r2-a"),
@@ -124,19 +125,74 @@ def test_prune_margin_covers_every_computed_rise():
     assert 0.0 < worst_rise < pa._prune_margin(G)
 
 
-@pytest.mark.parametrize("n, nodes", [(3, 1090), (4, 6914)])
-def test_search_work_counts_are_pinned(n, nodes):
-    """Against 2**(4n) partitions with two eigensolves each in the flat walk."""
-    result = pa._partition_search(gram(build_nonpavable_general(2, n).vectors), 2)
-    assert result.nodes == nodes
-    assert result.eigensolves == nodes
+@pytest.mark.parametrize(
+    "n, nodes, eigensolves, rejected", [(3, 61, 65, 20), (4, 151, 155, 48)]
+)
+def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected):
+    """Against 2**(4n) partitions with two eigensolves each in the flat walk.
+
+    nodes are the lex-leader prefixes examined, one eigensolve each;
+    eigensolves add the four part bounds of the two structured incumbents
+    (the alternating split's orbit is itself, so no image is re-evaluated).
+    Without the row group and incumbent the walk took 1,090 and 6,914 nodes.
+    """
+    family = build_nonpavable_general(2, n)
+    result = pa._partition_search(gram(family.vectors), 2, family=family)
+    assert (result.nodes, result.eigensolves, result.rejected) == (nodes, eigensolves, rejected)
 
 
-@pytest.mark.parametrize("n, calls", [(3, 6), (4, 7)])
+def test_exhaustive_job_set_eigensolves_are_pinned(tmp_path, capsys, monkeypatch):
+    """Matrices solved by eigvalsh in the benchmark's exhaustive job set:
+    certify (2, 4), then sweep r = 2 over n = 1..4 (five builds' tightness
+    checks included). The walk without row group and incumbent solved
+    15,145; the flat walk two per partition, 270,880."""
+    real = np.linalg.eigvalsh
+    solved = []
+
+    def counting(a, *args, **kwargs):
+        solved.append(a.size // (a.shape[-1] * a.shape[-1]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert main(["certify", "--r", "2", "--n", "4", "--mode", "exhaustive",
+                 "--out", str(tmp_path / "c.json")]) == 0
+    assert main(["sweep", "--r", "2", "--n-list", "1,2,3,4",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+    assert sum(solved) == 428
+
+
+def test_search_reaches_the_recorded_r3_n2_maximum():
+    """3**18 partitions, over the default budget; the flat walk's recorded
+    first maximum is 0.34054302431686606, while the canonical leaf of its
+    orbit computes 0.340543024316866, so the orbit re-evaluation decides."""
+    family = build_nonpavable_general(3, 2)
+    result = pa._partition_search(gram(family.vectors), 3, family=family)
+    assert result.value == 0.34054302431686606
+    assert (result.nodes, result.eigensolves, result.rejected) == (7388, 7418, 746)
+    bounds = tuple(riesz_lower_bound(family, p) if p else None for p in result.partition.parts)
+    assert result.part_bounds == bounds
+
+
+def test_search_matches_trivial_group_search_r2_n5(monkeypatch):
+    """(2, 5) has 2**20 partitions, too many for the flat oracle in a test;
+    the walk with the trivial row group is exact by relabeling alone."""
+    family = build_nonpavable_general(2, 5)
+    G = gram(family.vectors)
+    reduced = pa._partition_search(G, 2, family=family)
+    monkeypatch.setattr(pa, "_row_group", lambda *args: ([], 0.0))
+    trivial = pa._partition_search(G, 2, family=family)
+    assert trivial.rejected == 0 < reduced.rejected
+    assert reduced.partition == trivial.partition
+    assert reduced.part_bounds == trivial.part_bounds
+    assert reduced.value == trivial.value
+
+
+@pytest.mark.parametrize("n, calls", [(3, 5), (4, 6)])
 def test_exhaustive_svd_calls_are_pinned(n, calls, monkeypatch):
     """One stacked SVD call per block-subset size for the witness table
-    (n + 1 sizes for r = 2), and two for the certificate's witness: one
-    picks it, one computes its coefficients. One call per subset would take
+    (n + 1 sizes for r = 2), and one for the certificate's witness, which
+    picks it and keeps its coefficients. One call per subset would take
     43 and 164."""
     real = np.linalg.svd
     made = []
@@ -201,3 +257,29 @@ def test_exhaustive_certify_rejects_a_bad_witness_entry(monkeypatch):
     monkeypatch.setattr(pa, "_witness_table", inflated)
     with pytest.raises(InternalInconsistencyError, match=r"block 1 rows \(0, 1, 3\)"):
         certify_nonpavable(build_nonpavable_general(2, 3), "exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# failure paths
+# ---------------------------------------------------------------------------
+
+def test_certify_reports_flat_first_failure_before_witnesses(tmp_path, capsys, monkeypatch):
+    """With WITNESS_TOL at -0.1 the threshold is delta_1 - 0.1 = 0.4 for
+    (2, 3): the structured incumbent (0.5) is above it, so the walk runs
+    with the trivial row group and names the flat walk's first partition
+    above 0.4. The search runs before the witness table, which would fail
+    too, as a sampled draw failing both checks fails the bound check."""
+    monkeypatch.setattr(pa, "WITNESS_TOL", -0.1)
+    family = build_nonpavable_general(2, 3)
+    threshold = family.schedule.deltas[0] - 0.1
+    first, value = next((p, v) for p, v in flat_partition_values(gram(family.vectors), 2)
+                        if v > threshold)
+    with pytest.raises(CertificationError) as info:
+        certify_nonpavable(family, "exhaustive")
+    assert info.value.partition.parts == first
+    out = tmp_path / "c.json"
+    assert main(["certify", "--r", "2", "--n", "3", "--mode", "exhaustive",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"partition keeps min-part bound {value} above {threshold}" in err
+    assert not out.exists()
