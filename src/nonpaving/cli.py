@@ -133,7 +133,7 @@ def _build_parser() -> _Parser:
                    help="partitions to draw in sampled mode (default 1000)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (sampled mode)")
     p.add_argument("--budget", type=budget_type, default=DEFAULT_ASSIGNMENT_BUDGET,
-                   help="max assignments for exhaustive mode")
+                   help="max assignments for exhaustive mode (sampled mode ignores it)")
     p.add_argument("--out", help="certificate path (default certificate_r{r}_n{n}.json)")
 
     p = sub.add_parser("double", help="apply the doubling map K times; write matrix + report")

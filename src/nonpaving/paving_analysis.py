@@ -20,10 +20,15 @@ so it reports exactly what a walk over every partition in enumeration order
 reports, while computing 155 part bounds for (2, 4) instead of two per
 partition; its witness table takes one SVD call per subset size.
 Sampled certification keeps its draws as one label array and checks them
-with stacked eigensolves and SVDs, grouped by part size
-(`_sampled_part_bounds`, `_sampled_witnesses`). Every witness is picked by
-`_sampled_witnesses` and computed by `_block_witnesses`, so every value is
-bit for bit what `riesz_lower_bound` and `witness_coefficients` compute.
+with stacked eigensolves and SVDs, grouped by part size. A draw puts r^2 n
+rows of C^{rn} into r parts, so its largest part holds at least rn rows,
+and more (a singular Gram, whose bound is at rounding level) unless every
+part holds exactly rn. That part's bound, solved first, caps the draw's
+value, and all parts are solved only for draws that could fail or be the
+worst (`_sampled_values`). Every
+distinct witness row set is solved once (`_sampled_witnesses`, by
+`_block_witnesses`), so every value is bit for bit what `riesz_lower_bound`
+and `witness_coefficients` compute.
 """
 
 import math
@@ -65,10 +70,11 @@ _EPS = float(np.finfo(np.float64).eps)
 _NULL_REL_TOL = 1e-10
 
 # Largest stack of gathered matrices one batched eigvalsh or svd call gets
-# in sampled certification. Bigger stacks save little call overhead and
-# raise peak memory: on the sampled benchmark, 1 MiB stacks took 7% less
-# time than 128 KiB stacks but peaked at 47.8 MB of RSS against 44.7 MB
-# (45.7 MB when each draw was checked on its own).
+# in sampled certification. Bigger stacks save some call overhead and raise
+# peak memory: on the sampled benchmark's two certify jobs, (3, 2) x 10,000
+# and (4, 8) x 2,000 draws, run in one process with one BLAS thread, 1 MiB
+# stacks took about 13% less time than 128 KiB stacks but peaked at 45.2 MB
+# of RSS against 43.6 MB.
 _STACK_BYTES = 128 * 1024
 
 
@@ -673,24 +679,72 @@ def _members(mask: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(mask.shape[0], -1)
 
 
+def _mask_bounds(G: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Riesz bound of the rows each row of `mask` selects, inf where it selects none.
+
+    mask is a boolean (draws, M) array. Selections of equal size are
+    gathered into (B, s, s) stacks of principal submatrices and solved by
+    one eigvalsh call per stack, which gives each the bits
+    `riesz_lower_bound` computes for it.
+    """
+    bounds = np.full(mask.shape[0], np.inf)
+    sizes = mask.sum(axis=1)
+    for s in np.unique(sizes[sizes > 0]):
+        for chunk in _stacks(np.flatnonzero(sizes == s), 16 * s * s):
+            idx = _members(mask[chunk])
+            bounds[chunk] = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])[:, 0]
+    return bounds
+
+
 def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> np.ndarray:
     """Riesz bound of every part of every drawn labeling, inf for empty parts.
 
-    labels is (count, M); the result is (count, num_parts). Parts of equal
-    size are gathered into (B, s, s) stacks of principal submatrices and
-    solved by one eigvalsh call per stack, which gives each the bits
-    `riesz_lower_bound` computes for it.
+    labels is (count, M); the result is (count, num_parts), one
+    `_mask_bounds` column per label.
     """
-    bounds = np.full((labels.shape[0], num_parts), np.inf)
-    for j in range(num_parts):
-        mask = labels == j
-        sizes = mask.sum(axis=1)
-        for s in np.unique(sizes[sizes > 0]):
-            for chunk in _stacks(np.flatnonzero(sizes == s), 16 * s * s):
-                idx = _members(mask[chunk])
-                stack = G[idx[:, :, None], idx[:, None, :]]
-                bounds[chunk, j] = np.linalg.eigvalsh(stack)[:, 0]
-    return bounds
+    return np.stack([_mask_bounds(G, labels == j) for j in range(num_parts)], axis=1)
+
+
+def _sampled_values(
+    G: np.ndarray, labels: np.ndarray, num_parts: int, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min-part bounds of the draws that could fail the threshold or be the worst.
+
+    A draw's value is the min of its parts' bounds, so the bound of its
+    largest part (ties to the lowest label), computed first for every draw
+    with the bits `_sampled_part_bounds` gives it, is an upper bound U on
+    it. All part bounds are computed (the draw is settled) for every draw
+    with U > threshold and for the draws of largest U, in batches of 1, 2,
+    4, ... draws in order of decreasing U (ties in draw order), until the
+    next draw's U is below the largest settled value. Doubling batches
+    settle at most about twice the draws whose U reaches the largest value,
+    in a few stacked calls. (Settling every draw whose U reaches the best
+    value so far settled 9,494 of 10,000 (3, 2) draws on one seed, whose
+    draw of largest U has a small value.)
+
+    Returns values and bounds. For a settled draw, values[d] is its
+    min-part bound and bounds[d] its part bounds (inf for empty parts);
+    an unsettled draw keeps its U in values and nan in bounds. Its U, and
+    so its value, is at most the threshold and below the largest settled
+    value, so the draws above the threshold and the first maximizer of
+    values are those a pass over every part of every draw finds.
+    """
+    tallies = np.stack([(labels == j).sum(axis=1) for j in range(num_parts)], axis=1)
+    upper = _mask_bounds(G, labels == tallies.argmax(axis=1)[:, None])
+    values = upper.copy()
+    bounds = np.full((len(upper), num_parts), np.nan)
+    settled = np.zeros(len(upper), dtype=bool)
+    chosen = upper > threshold
+    order, end = np.argsort(-upper, kind="stable"), 0
+    while True:
+        chosen[order[end:2 * end + 1]] = True
+        end = 2 * end + 1
+        draws = np.flatnonzero(chosen & ~settled)
+        bounds[draws] = _sampled_part_bounds(G, labels[draws], num_parts)
+        values[draws] = bounds[draws].min(axis=1)
+        settled[draws] = True
+        if end >= len(order) or upper[order[end]] < values[settled].max():
+            return values, bounds
 
 
 def _sampled_witnesses(
@@ -702,6 +756,8 @@ def _sampled_witnesses(
     the most of its rows (ties to the lowest label), and the k of smallest
     achieved norm (ties to the first). InternalInconsistencyError is raised
     if some block has fewer than n rows in every part of some labeling.
+    Draws that pick the same rows of a block share one `_block_witnesses`
+    solve, which gives them the bits each would get on its own.
     Given a dict `kept` and a single labeling, block k's witness rows and
     coefficients are stored in it under k, so none is computed twice.
     """
@@ -722,9 +778,11 @@ def _sampled_witnesses(
         for s in np.unique(sizes):
             draws = np.flatnonzero(sizes == s)
             rows = span.start + _members(block[draws] == chosen[draws, None])
-            coeff, per_block[draws, k - 1] = _block_witnesses(family.vectors, rows, band)
+            distinct, which = np.unique(rows, axis=0, return_inverse=True)
+            coeff, norms = _block_witnesses(family.vectors, distinct, band)
+            per_block[draws, k - 1] = norms[which]
             if kept is not None:
-                kept[k] = rows[0], coeff[0]
+                kept[k] = rows[0], coeff[which[0]]
     best = per_block.argmin(axis=1)
     return best + 1, parts[np.arange(len(labels)), best], per_block.min(axis=1)
 
@@ -734,7 +792,8 @@ def _raise_first_sampled_failure(
 ) -> None:
     """Raise what checking the first failing draw on its own raises: a
     min-part bound `value` above the threshold before a bad witness, as
-    certifying the draws one by one would."""
+    certifying the draws one by one would. `value` is the draw's min-part
+    bound, or an upper bound on it at most the threshold."""
     partition = partition_from_assignment(labels, family.r)
     if value > threshold:
         raise CertificationError(
@@ -759,8 +818,11 @@ def certify_nonpavable(
     mode "exhaustive" covers every labeled r-part partition of the rows
     (within budget on r**M) with the symmetry-reduced branch-and-bound of
     `_partition_search`; mode "sampled" draws `count` assignments uniformly
-    using the Philox stream for `seed` and checks them in stacks
-    (`_sampled_part_bounds`, `_sampled_witnesses`). Each partition must
+    using the Philox stream for `seed` and checks them in stacks: the bound
+    of each draw's largest part caps its value, and all its part bounds are
+    computed only where that cap exceeds the threshold or reaches the
+    largest value computed (`_sampled_values`), while every draw's witness
+    is checked (`_sampled_witnesses`). Each partition must
     satisfy min-part bound <= max(delta_1..delta_{r-1}) + 1e-8, or
     CertificationError carries the first one that does not (in enumeration
     or draw order), and must yield valid witness coefficients, or
@@ -798,8 +860,7 @@ def certify_nonpavable(
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))
         labels = rng.integers(0, r, size=(int(count), family.count))
-        bounds = _sampled_part_bounds(gram(family.vectors), labels, r)
-        values = bounds.min(axis=1)
+        values, bounds = _sampled_values(gram(family.vectors), labels, r, threshold)
         witness_k, _, achieved = _sampled_witnesses(family, labels)
         failed = (values > threshold) | (achieved > _witness_limit(family, witness_k))
         if failed.any():

@@ -1,16 +1,20 @@
 """Batched sampled certification against a per-draw loop.
 
 Sampled certify checks its seeded draws in stacks: one eigvalsh call per
-stack of equal-size parts and one SVD call per stack of equal-size witness
-selections. Every per-draw value must be the per-draw loop's bit for bit,
-the first failing draw must fail as it would when the draws are checked one
-by one, and certificates must keep the bytes the per-draw loop wrote.
+stack of equal-size parts and one SVD call per stack of distinct equal-size
+witness selections. It solves every draw's largest part first and all parts
+only of the draws that could fail or be the worst. Every per-draw value must
+be the per-draw loop's bit for bit, the first failing draw must fail as it
+would when the draws are checked one by one, and certificates must keep the
+bytes the per-draw loop wrote.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import nonpaving.paving_analysis as pa
 from nonpaving import (
@@ -170,3 +174,181 @@ def test_witness_failure_names_the_first_failing_draw(monkeypatch):
     assert checked == [parts_of(draws[first][0], 3)]
     _, _, _, k, achieved = draws[first]
     assert str(info.value) == f"witness achieved {achieved}, above delta_{k} = {deltas[k - 1]}"
+
+
+# ---------------------------------------------------------------------------
+# largest parts first: the work done and the outcome kept
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "r, n, count, seed, eigensolves, settled, svds",
+    [(3, 2, 10000, 2010, 10093, 31, 116), (4, 8, 2000, 7, 2060, 15, 6003)],
+    ids=["r3n2", "r4n8"],
+)
+def test_sampled_work_counts_are_pinned(r, n, count, seed, eigensolves, settled, svds,
+                                        monkeypatch):
+    """Matrices given to eigvalsh and svd, summed over their stacks. Every
+    draw's largest part is solved once; all r parts only of the settled
+    draws (a full pass solves r * count)."""
+    family = build_nonpavable_general(r, n)
+    solved = {"eigvalsh": 0, "svd": 0}
+    for name in solved:
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _name=name, _real=real, **kwargs):
+            solved[_name] += a.shape[0] if a.ndim == 3 else 1
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    batches = []
+    real_parts = pa._sampled_part_bounds
+
+    def parts_spy(G, labels, num_parts):
+        batches.append(len(labels))
+        return real_parts(G, labels, num_parts)
+
+    monkeypatch.setattr(pa, "_sampled_part_bounds", parts_spy)
+    certify_nonpavable(family, "sampled", count=count, seed=seed)
+    assert solved == {"eigvalsh": eigensolves, "svd": svds}
+    assert sum(batches) == settled
+    assert solved["eigvalsh"] <= count + r * sum(batches)
+
+
+@pytest.mark.parametrize(
+    "r, n, count, seed", [(2, 2, 3000, 0), (3, 1, 1000, 6)], ids=["r2n2", "r3n1"]
+)
+def test_tied_maxima_give_the_first_maximizer(r, n, count, seed):
+    """(2, 2) has 2^8 labelings and (3, 1) 3^9, so the draws repeat some and
+    several tie at the largest value, bit for bit. In the (3, 1) sample a
+    later maximizer has the larger largest-part bound, so the earlier one
+    is settled only because its bound ties the largest value."""
+    family = build_nonpavable_general(r, n)
+    draws = oracle_draws(family, count, seed)
+    values = [draw[2] for draw in draws]
+    worst = values.index(max(values))
+    assert values.count(values[worst]) > 1
+    summary = certify_nonpavable(family, "sampled", count=count, seed=seed)
+    labels, bounds, value, k, achieved = draws[worst]
+    cert = summary.certificate
+    assert cert.partition.parts == parts_of(labels, r)
+    assert list(cert.part_bounds) == bounds
+    assert summary.worst_min_part_bound == value
+    assert (cert.witness.k, cert.witness.achieved_norm_sq) == (k, achieved)
+
+
+FAMILIES = {(r, n): build_nonpavable_general(r, n) for r, n in [(2, 2), (2, 3), (3, 1), (3, 2)]}
+
+
+def largest_part_bound(labels, bounds, r):
+    sizes = [labels.count(j) for j in range(r)]
+    return bounds[sizes.index(max(sizes))]
+
+
+def per_draw_outcome(family, draws, tol):
+    """(error type, partition, message) of checking the draws one by one
+    with WITNESS_TOL = tol; on a pass (None, partition, certificate values)
+    of the first maximizer."""
+    r, deltas = family.r, family.schedule.deltas
+    threshold = max(deltas[: r - 1]) + tol
+    for labels, _, value, k, achieved in draws:
+        if value > threshold:
+            return (CertificationError, parts_of(labels, r),
+                    f"partition keeps min-part bound {value} above {threshold}")
+        if achieved > deltas[k - 1] + tol:
+            return (InternalInconsistencyError, parts_of(labels, r),
+                    f"witness achieved {achieved}, above delta_{k} = {deltas[k - 1]}")
+    values = [draw[2] for draw in draws]
+    labels, bounds, value, k, achieved = draws[values.index(max(values))]
+    return None, parts_of(labels, r), (bounds, value, k, achieved)
+
+
+def tolerances(family, draws, kind):
+    """Candidate WITNESS_TOL values: thresholds at the draws' values
+    ("value"), halfway between a draw's value and the larger bound of its
+    largest part where that bound is below the largest value ("gap"), or
+    witness limits at the draws' achieved norms, the default tolerance
+    included ("slack")."""
+    deltas = family.schedule.deltas
+    top = max(deltas[: family.r - 1])
+    if kind == "value":
+        return sorted({value - top for _, _, value, _, _ in draws})
+    if kind == "gap":
+        most = max(value for _, _, value, _, _ in draws)
+        return sorted({(value + lead) / 2 - top for labels, bounds, value, _, _ in draws
+                       if value + 1e-9 < (lead := largest_part_bound(labels, bounds, family.r))
+                       < most})
+    return sorted({achieved - deltas[k - 1] for _, _, _, k, achieved in draws} | {pa.WITNESS_TOL})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rn=st.sampled_from(sorted(FAMILIES)),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["value", "gap", "slack"]),
+    data=st.data(),
+)
+def test_outcome_matches_per_draw_loop(rn, count, seed, kind, data):
+    """With a "gap" tolerance the worst draw fails, and some draw's largest
+    part is above the threshold while its value is not: that draw must be
+    settled, neither failing nor hiding an earlier failure."""
+    family = FAMILIES[rn]
+    r = family.r
+    draws = oracle_draws(family, count, seed)
+    marks = tolerances(family, draws, kind)
+    assume(marks)
+    tol = data.draw(st.sampled_from(marks))
+    if kind == "gap":
+        threshold = max(family.schedule.deltas[: r - 1]) + tol
+        assert any(largest_part_bound(labels, bounds, r) > threshold >= value
+                   for labels, bounds, value, _, _ in draws)
+    want = per_draw_outcome(family, draws, tol)
+    event("passed" if want[0] is None else want[0].__name__)
+
+    checked = []
+    real = pa.witness_coefficients
+
+    def spy(fam, partition):
+        checked.append(partition.parts)
+        return real(fam, partition)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pa, "WITNESS_TOL", tol)
+        mp.setattr(pa, "witness_coefficients", spy)
+        try:
+            summary = certify_nonpavable(family, "sampled", count=count, seed=seed)
+        except (CertificationError, InternalInconsistencyError) as exc:
+            partition = exc.partition.parts if isinstance(exc, CertificationError) else checked[-1]
+            assert (type(exc), partition, str(exc)) == want
+            return
+    cert = summary.certificate
+    assert want[0] is None
+    assert cert.partition.parts == want[1]
+    assert (list(cert.part_bounds), summary.worst_min_part_bound,
+            cert.witness.k, cert.witness.achieved_norm_sq) == want[2]
+
+
+def test_draw_with_only_its_largest_part_above_the_threshold_passes(monkeypatch):
+    """Every witness passes and the threshold lies halfway between a draw's
+    value and its largest part's bound, below the worst value: the first
+    draw whose value is above it fails, not an earlier draw whose largest
+    part alone is above it."""
+    family = build_nonpavable_general(3, 2)
+    draws = oracle_draws(family, COUNT, SEED)
+    tol = max(tolerances(family, draws, "gap"))
+    threshold = max(family.schedule.deltas[:2]) + tol
+    first = next(d for d, draw in enumerate(draws) if draw[2] > threshold)
+    assert any(largest_part_bound(labels, bounds, 3) > threshold
+               for labels, bounds, _, _, _ in draws[:first])
+    monkeypatch.setattr(pa, "WITNESS_TOL", tol)
+    monkeypatch.setattr(pa, "_sampled_witnesses",
+                        lambda fam, labels: (np.ones(len(labels), int),
+                                             np.zeros(len(labels), int),
+                                             np.full(len(labels), -np.inf)))
+    with pytest.raises(CertificationError) as info:
+        certify_nonpavable(family, "sampled", count=COUNT, seed=SEED)
+    assert info.value.partition.parts == parts_of(draws[first][0], 3)
+    assert str(info.value) == (
+        f"partition keeps min-part bound {draws[first][2]} above {threshold}"
+    )
