@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .frame_ops import FrameFamily, _require_tight
-from .matrix_core import dft_matrix, gram, scale_columns
+from .matrix_core import _as_int, dft_matrix, gram, scale_columns
 
 __all__ = [
     "DEFAULT_ENTRY_BUDGET",
@@ -112,12 +112,9 @@ def delta_schedule(r: int, n: int) -> DeltaSchedule:
 
 
 def _validate_r_n(r, n) -> None:
-    for name, v in (("r", r), ("n", n)):
-        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-            raise ValueError(f"{name} must be an integer")
-    if r < 2:
+    if _as_int(r, "r") < 2:
         raise ValueError("r must be >= 2")
-    if n < 1:
+    if _as_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
 
 
@@ -279,8 +276,8 @@ def doubled_family(
     unchanged. Raises ResourceLimitError when the output would exceed
     entry_budget entries.
     """
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
-        raise ValueError("steps must be a nonnegative integer")
+    if _as_int(steps, "steps") < 0:
+        raise ValueError("steps must be >= 0")
     if entry_budget < 1:
         raise ValueError("entry_budget must be positive")
     entries = (family.count << steps) * (family.dim << steps)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError
 from .matrix_core import (
+    _as_int,
     _column_pass,
     as_complex_matrix,
     gram,
@@ -81,7 +82,7 @@ class ProjectionMatrix:
     def __post_init__(self):
         P = require_hermitian(self.matrix)
         object.__setattr__(self, "matrix", P)
-        object.__setattr__(self, "rank", int(self.rank))
+        object.__setattr__(self, "rank", _as_int(self.rank, "rank"))
         if self.diag_constant is not None:
             object.__setattr__(self, "diag_constant", float(self.diag_constant))
         numbers = projection_numbers(P, self.diag_constant)
@@ -214,7 +215,7 @@ def projection_from_tight_frame(family: FrameFamily, tightness: float) -> Projec
 
 
 def _validate_subset(subset, dim: int) -> list[int]:
-    idx = sorted(int(i) for i in subset)
+    idx = sorted(_as_int(i, "subset index") for i in subset)
     if not idx:
         raise ValueError("subset must be nonempty")
     if idx[0] < 0 or idx[-1] >= dim:

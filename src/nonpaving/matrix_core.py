@@ -71,6 +71,15 @@ def require_hermitian(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return H
 
 
+def _as_int(value, what: str) -> int:
+    """value as an int when it is a Python or numpy integer other than a
+    bool, else ValueError; int() would truncate 1.9 to 1 and pick a row
+    the caller did not name."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary n x n DFT matrix with entry (j, k) = omega^(jk) / sqrt(n).
 
@@ -78,9 +87,7 @@ def dft_matrix(n: int) -> np.ndarray:
     mod n before exponentiation, which keeps every entry an exact unimodular
     phase over sqrt(n) even for large n.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError("n must be an integer")
-    if n < 1:
+    if _as_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     idx = np.arange(n, dtype=np.int64)
     phase = (idx[:, None] * idx[None, :]) % n

@@ -17,8 +17,10 @@ relabeling keeps every part) and, on a stacked DFT family, lex-leaders under
 shifts and reflections of the row index of every block, starting from a
 structured incumbent. Orbits of the leaves near the best are re-evaluated,
 so it reports exactly what a walk over every partition in enumeration order
-reports, while computing 155 part bounds for (2, 4) instead of two per
-partition; its witness table takes one SVD call per subset size.
+reports, its first partition above a certify threshold included (the walk
+stops at its first leaf above it), while computing 155 part bounds for
+(2, 4) instead of two per partition; its witness table takes one SVD call
+per subset size.
 Sampled certification keeps its draws as one label array and checks them
 with stacked eigensolves and SVDs, grouped by part size. A draw puts r^2 n
 rows of C^{rn} into r parts, so its largest part holds at least rn rows,
@@ -40,7 +42,7 @@ import numpy as np
 from .constructions import StackedDftFrame
 from .errors import CertificationError, InternalInconsistencyError, ResourceLimitError
 from .frame_ops import FrameFamily, _validate_subset
-from .matrix_core import gram
+from .matrix_core import _as_int, gram
 
 __all__ = [
     "DEFAULT_ASSIGNMENT_BUDGET",
@@ -89,7 +91,9 @@ class Partition:
     parts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        normalized = tuple(tuple(sorted(int(i) for i in p)) for p in self.parts)
+        normalized = tuple(
+            tuple(sorted(_as_int(i, "partition index") for i in p)) for p in self.parts
+        )
         object.__setattr__(self, "parts", normalized)
         seen: list[int] = []
         for p in normalized:
@@ -116,11 +120,19 @@ def partition_from_assignment(labels, num_parts: int) -> Partition:
         raise ValueError("num_parts must be >= 1")
     buckets: list[list[int]] = [[] for _ in range(num_parts)]
     for i, lab in enumerate(labels):
-        lab = int(lab)
+        lab = _as_int(lab, "label")
         if not 0 <= lab < num_parts:
             raise ValueError(f"label {lab} out of range for {num_parts} parts")
         buckets[lab].append(i)
     return Partition(tuple(tuple(b) for b in buckets))
+
+
+def _bound_failure(labels, num_parts: int, value: float, threshold: float) -> CertificationError:
+    """The error for a labeling whose min-part bound `value` is above the threshold."""
+    return CertificationError(
+        f"partition keeps min-part bound {value} above {threshold}",
+        partition=partition_from_assignment(labels, num_parts),
+    )
 
 
 def _check_assignment_budget(size: int, num_parts: int, budget: int) -> int:
@@ -194,10 +206,6 @@ class _SearchResult:
     nodes: int
     eigensolves: int
     rejected: int
-
-
-class _NearThreshold(Exception):
-    """A symmetry-reduced search met a leaf within its window of the threshold."""
 
 
 def _row_group(G: np.ndarray, block: int, margin: float) -> tuple[list[tuple[int, ...]], float]:
@@ -276,80 +284,6 @@ def _undecided_maps(labels: list[int], i: int, maps: list) -> list | None:
     return live
 
 
-def _leader_search(
-    G: np.ndarray,
-    num_parts: int,
-    trigger: float,
-    maps: list,
-    window: float,
-    best: float,
-    work: dict[str, int],
-) -> tuple[list[int], list[float], float]:
-    """Labels, part values and value of the first maximizer over lex-leaders.
-
-    Walks restricted-growth label prefixes depth first, children in label
-    order, dropping those some map in `maps` sends to a smaller prefix and
-    those whose min part bound plus `_prune_margin(G)` and `window` is at or
-    below `best`. A leaf above `trigger` raises: CertificationError naming
-    it when `maps` is empty, _NearThreshold otherwise. Every leaf within
-    `window` of the best (when it is visited, and at the end) has each of its
-    images under `maps` evaluated; the first in lexicographic order of the
-    largest value wins. `work` accumulates nodes, rejected and eigensolves.
-    """
-    size = G.shape[0]
-    margin = _prune_margin(G)
-    last = size - 1
-    parts: list[list[int]] = [[] for _ in range(num_parts)]
-    values = [math.inf] * num_parts  # bound of each part; inf while empty
-    labels = [0] * size
-    leaves = []
-
-    def descend(i: int, used: int, alive: list) -> None:
-        nonlocal best
-        for j in range(min(used + 1, num_parts)):
-            labels[i] = j
-            live = _undecided_maps(labels, i, alive)
-            if live is None:
-                work["rejected"] += 1
-                continue
-            work["nodes"] += 1
-            part = parts[j]
-            part.append(i)
-            before = values[j]
-            values[j] = _eig_min(G[np.ix_(part, part)])
-            work["eigensolves"] += 1
-            value = min(values)
-            if i == last:
-                if value > trigger:
-                    if maps:
-                        raise _NearThreshold
-                    raise CertificationError(
-                        f"partition keeps min-part bound {value} above {trigger}",
-                        partition=partition_from_assignment(labels, num_parts),
-                    )
-                if value >= best - window:
-                    leaves.append((tuple(labels), values[:], value))
-                    best = max(best, value)
-            elif value + margin + window > best:
-                descend(i + 1, max(used, j + 1), live)
-            part.pop()
-            values[j] = before
-
-    try:
-        descend(0, 0, maps)
-    finally:
-        del descend  # the closure refers to itself: free G and the lists now, not at a full GC
-    pool = [leaf for leaf in leaves if leaf[2] >= best - window]
-    if maps:
-        seen = {leaf[0] for leaf in pool}
-        images = sorted({_canonical(leaf[0][y] for y in g) for leaf in pool for g in maps} - seen)
-        if images:
-            bounds = _sampled_part_bounds(G, np.array(images), num_parts)
-            work["eigensolves"] += int(np.isfinite(bounds).sum())
-            pool += [(lab, row.tolist(), float(row.min())) for lab, row in zip(images, bounds)]
-    return min(pool, key=lambda leaf: (-leaf[2], leaf[0]))
-
-
 def _partition_search(
     G: np.ndarray,
     num_parts: int,
@@ -362,9 +296,11 @@ def _partition_search(
     label order (index 0 most significant) reports: its first maximizer,
     whose part bounds are computed from the same `G[np.ix_(idx, idx)]` as
     `riesz_lower_bound` with sorted idx, so its value is bit for bit the
-    flat walk's. Rows are appended in index order, so each part's index
+    flat walk's, or CertificationError naming its first partition above
+    `threshold`. Rows are appended in index order, so each part's index
     list stays sorted. The walk covers one representative per orbit of a
-    symmetry group, depth first over label prefixes (`_leader_search`):
+    symmetry group, depth first over label prefixes, children in label
+    order:
 
     - Relabeling. Permuting the labels keeps every part, so every bit; the
       lexicographically least relabeling is the restricted-growth string,
@@ -378,6 +314,13 @@ def _partition_search(
       largest value over `_structured_labelings` (the alternating split for
       r = 2 attains delta_1 to rounding).
 
+    The walk keeps level = min(best, threshold), best the largest value
+    met so far. A prefix is cut when its min part bound plus
+    `_prune_margin(G)` and the window w is at or below level, a leaf within
+    w of level is pooled, and the walk stops after its first leaf above
+    `threshold`. The images of the pooled leaves under the row maps are
+    then evaluated too.
+
     Window. eigvalsh returns a part bound within e = `_prune_margin(G)` / 2
     of the exact one (see there). An image H' of a part matrix H under a
     row map is permutation-similar to H (or conj(H)) plus a principal
@@ -385,48 +328,96 @@ def _partition_search(
     defect d (Weyl). So the computed values of a labeling and of its image
     differ by at most margin + d, and the window w = 2 * margin + d covers
     that with a margin to spare for the roundings of the sums it enters.
-    The flat walk's first maximizer F has value V, the largest computed
-    value; the least member c of its orbit (as relabeled by first
-    appearance) is walked, since it survives the symmetry test, and a
-    prefix above it is cut only when its value plus margin plus w is at or
-    below best <= V, while c's value is at least V - margin - d. So c is
-    recorded within w of the final best, its whole orbit is evaluated, and
-    the flat walk's rule over the evaluated labelings picks F: every
+    Take a labeling of value V and the least member c of its orbit (as
+    relabeled by first appearance): c survives the symmetry test, its value
+    is at least V - margin - d, and every prefix of c computes at least
+    V - 2 * margin - d, so with margin and w added it stays above V. If
+    V >= level throughout, then no prefix of c is cut, c is pooled when the
+    walk reaches it, and its orbit, V's labeling included, is evaluated.
+
+    No threshold crossed. Then level is best, and the flat walk's first
+    maximizer F has value V >= best throughout, so its orbit is evaluated.
+    The flat walk's rule over the evaluated labelings, the first in
+    lexicographic order of the largest value, picks F, since every
     labeling of value V was evaluated the same way.
 
-    Threshold. A row-reduced walk that meets a leaf within w of `threshold`,
-    or starts from an incumbent there, is run again with the trivial row
-    group, whose walk still only cuts leaves at or below best <= threshold.
-    Since relabeling keeps bits, the first leaf in lexicographic order
-    above the threshold is a restricted-growth string, and that rerun
-    raises CertificationError with it. Otherwise every orbit member stays
-    below threshold - w + margin + d < threshold. Callers check
-    num_parts**M, the number of partitions the search covers, against their
-    budget before forming G.
+    Threshold crossed. Let L be the flat walk's first labeling above
+    `threshold`; relabeling keeps bits, so L is a restricted-growth string,
+    and level <= threshold < V_L, so c is pooled when it is reached. It is
+    reached before the walk stops: c <= L <= every leaf above the threshold
+    in label order. So L is evaluated, every evaluated labeling above the
+    threshold comes at or after L, and the least of them, L, is raised.
+
+    Callers check num_parts**M, the number of partitions the search covers,
+    against their budget before forming G.
     """
-    work = {"nodes": 0, "rejected": 0, "eigensolves": 0}
-    maps, window, start = [], 0.0, -math.inf
+    margin = _prune_margin(G)
+    maps, window, best, solved = [], 0.0, -math.inf, 0
     if family is not None:
         incumbents = _sampled_part_bounds(G, _structured_labelings(family, num_parts), num_parts)
-        work["eigensolves"] += int(np.isfinite(incumbents).sum())
-        start = math.nextafter(float(incumbents.min(axis=1).max()), -math.inf)
-        maps, window = _row_group(G, family.r * family.n, _prune_margin(G))
-    found = None
-    if maps and start <= threshold - window:
-        try:
-            found = _leader_search(G, num_parts, threshold - window, maps, window, start, work)
-        except _NearThreshold:
-            pass
-    if found is None:
-        found = _leader_search(G, num_parts, threshold, [], 0.0, min(start, threshold), work)
-    labels, values, value = found
+        solved = int(np.isfinite(incumbents).sum())
+        best = math.nextafter(float(incumbents.min(axis=1).max()), -math.inf)
+        maps, window = _row_group(G, family.r * family.n, margin)
+    level = min(best, threshold)
+    last = G.shape[0] - 1
+    parts: list[list[int]] = [[] for _ in range(num_parts)]
+    values = [math.inf] * num_parts  # bound of each part; inf while empty
+    labels = [0] * G.shape[0]
+    leaves = []
+    nodes = rejected = 0
+
+    def descend(i: int, used: int, alive: list) -> bool:
+        """Walk the children of labels[:i]; True once a leaf above the threshold is met."""
+        nonlocal level, nodes, rejected
+        for j in range(min(used + 1, num_parts)):
+            labels[i] = j
+            live = _undecided_maps(labels, i, alive)
+            if live is None:
+                rejected += 1
+                continue
+            nodes += 1
+            part = parts[j]
+            part.append(i)
+            before = values[j]
+            values[j] = _eig_min(G[np.ix_(part, part)])
+            value = min(values)
+            if i == last:
+                if value >= level - window:
+                    leaves.append((tuple(labels), values[:], value))
+                    level = max(level, min(value, threshold))
+                stop = value > threshold
+            else:
+                stop = value + margin + window > level and descend(i + 1, max(used, j + 1), live)
+            part.pop()
+            values[j] = before
+            if stop:
+                return True
+        return False
+
+    try:
+        descend(0, 0, maps)
+    finally:
+        del descend  # the closure refers to itself: free G and the lists now, not at a full GC
+    pool = [leaf for leaf in leaves if leaf[2] >= level - window]
+    if maps:
+        seen = {leaf[0] for leaf in pool}
+        images = sorted({_canonical(leaf[0][y] for y in g) for leaf in pool for g in maps} - seen)
+        if images:
+            bounds = _sampled_part_bounds(G, np.array(images), num_parts)
+            solved += int(np.isfinite(bounds).sum())
+            pool += [(lab, row.tolist(), float(row.min())) for lab, row in zip(images, bounds)]
+    failed = [leaf for leaf in pool if leaf[2] > threshold]
+    if failed:
+        labels, _, value = min(failed, key=lambda leaf: leaf[0])
+        raise _bound_failure(labels, num_parts, value, threshold)
+    labels, values, value = min(pool, key=lambda leaf: (-leaf[2], leaf[0]))
     return _SearchResult(
         partition_from_assignment(labels, num_parts),
         tuple(None if v == math.inf else v for v in values),
         value,
-        work["nodes"],
-        work["eigensolves"],
-        work["rejected"],
+        nodes,
+        nodes + solved,
+        rejected,
     )
 
 
@@ -471,13 +462,14 @@ class Witness:
         if c.ndim != 1 or c.shape[0] != len(self.indices):
             raise ValueError("need one coefficient per selected index")
         norm = float(np.linalg.norm(c))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # nan compares False either way
             raise ValueError(f"coefficients must have unit norm, got {norm!r}")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.achieved_norm_sq < 0:
-            raise ValueError("achieved_norm_sq must be nonnegative")
+        indices = tuple(_as_int(i, "witness index") for i in self.indices)
+        object.__setattr__(self, "indices", indices)
+        if not (math.isfinite(self.achieved_norm_sq) and self.achieved_norm_sq >= 0):
+            raise ValueError("achieved_norm_sq must be finite and nonnegative")
 
 
 def _witness_limit(family: StackedDftFrame, k):
@@ -609,6 +601,8 @@ class RieszCertificate:
         finite = [b for b in self.part_bounds if b is not None]
         if not finite:
             raise ValueError("certificate needs at least one nonempty part")
+        if not all(map(math.isfinite, finite + [self.min_part_bound])):
+            raise ValueError("part bounds and min_part_bound must be finite")
         if abs(min(finite) - self.min_part_bound) > 1e-12:
             raise ValueError("min_part_bound does not match part_bounds")
         if self.witness is not None:
@@ -794,12 +788,9 @@ def _raise_first_sampled_failure(
     min-part bound `value` above the threshold before a bad witness, as
     certifying the draws one by one would. `value` is the draw's min-part
     bound, or an upper bound on it at most the threshold."""
-    partition = partition_from_assignment(labels, family.r)
     if value > threshold:
-        raise CertificationError(
-            f"partition keeps min-part bound {value} above {threshold}",
-            partition=partition,
-        )
+        raise _bound_failure(labels, family.r, value, threshold)
+    partition = partition_from_assignment(labels, family.r)
     witness_coefficients(family, partition)
     raise InternalInconsistencyError(
         f"batched checks reject partition {partition.parts}, the per-partition checks pass"
@@ -854,19 +845,20 @@ def certify_nonpavable(
                 )
         worst_partition, worst_bounds, worst_value = res.partition, res.part_bounds, res.value
     elif mode == "sampled":
-        if count is None or count < 1:
+        count = 0 if count is None else _as_int(count, "count")
+        if count < 1:
             raise ValueError("sampled mode needs count >= 1")
-        seed = 0 if seed is None else int(seed)
+        seed = 0 if seed is None else _as_int(seed, "seed")
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))
-        labels = rng.integers(0, r, size=(int(count), family.count))
+        labels = rng.integers(0, r, size=(count, family.count))
         values, bounds = _sampled_values(gram(family.vectors), labels, r, threshold)
         witness_k, _, achieved = _sampled_witnesses(family, labels)
         failed = (values > threshold) | (achieved > _witness_limit(family, witness_k))
         if failed.any():
             first = failed.argmax()
             _raise_first_sampled_failure(family, labels[first], float(values[first]), threshold)
-        checked = int(count)
+        checked = count
         worst = int(values.argmax())
         worst_partition = partition_from_assignment(labels[worst], r)
         worst_bounds = [None if b == np.inf else float(b) for b in bounds[worst]]
@@ -884,7 +876,7 @@ def certify_nonpavable(
         r=r,
         n=family.n,
         mode=mode,
-        count=int(count) if count is not None else None,
+        count=count,
         seed=seed,
         partitions_checked=checked,
         worst_min_part_bound=float(worst_value),

@@ -7,8 +7,10 @@ certificates. Witnesses are checked once per block subset; that table must
 hold exactly the witnesses the per-partition call builds.
 """
 
+import bisect
 import itertools
 import json
+import math
 from math import comb
 from pathlib import Path
 
@@ -265,10 +267,10 @@ def test_exhaustive_certify_rejects_a_bad_witness_entry(monkeypatch):
 
 def test_certify_reports_flat_first_failure_before_witnesses(tmp_path, capsys, monkeypatch):
     """With WITNESS_TOL at -0.1 the threshold is delta_1 - 0.1 = 0.4 for
-    (2, 3): the structured incumbent (0.5) is above it, so the walk runs
-    with the trivial row group and names the flat walk's first partition
-    above 0.4. The search runs before the witness table, which would fail
-    too, as a sampled draw failing both checks fails the bound check."""
+    (2, 3): the structured incumbent (0.5) is above it, so the walk prunes
+    against 0.4 and names the flat walk's first partition above 0.4. The
+    search runs before the witness table, which would fail too, as a
+    sampled draw failing both checks fails the bound check."""
     monkeypatch.setattr(pa, "WITNESS_TOL", -0.1)
     family = build_nonpavable_general(2, 3)
     threshold = family.schedule.deltas[0] - 0.1
@@ -283,3 +285,51 @@ def test_certify_reports_flat_first_failure_before_witnesses(tmp_path, capsys, m
     err = capsys.readouterr().err
     assert f"partition keeps min-part bound {value} above {threshold}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (3, 1)])
+def test_row_reduced_threshold_search_matches_flat_walk(r, n):
+    """At, just below and just above every distinct flat value, the walk
+    with the row group raises with the flat walk's first partition above
+    the threshold, or returns its first maximizer when there is none."""
+    family = build_nonpavable_general(r, n)
+    G = gram(family.vectors)
+    maps, _ = pa._row_group(G, r * n, pa._prune_margin(G))
+    assert len(maps) == 2 * r * n - 1
+    flat = list(flat_partition_values(G, r))
+    first_at = {}
+    for i, (_, v) in enumerate(flat):
+        first_at.setdefault(v, i)
+    values = sorted(first_at)
+    first_from = [len(flat)] * (len(values) + 1)  # first labeling with a value in values[k:]
+    for k in reversed(range(len(values))):
+        first_from[k] = min(first_at[values[k]], first_from[k + 1])
+    for v in values:
+        for threshold in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
+            i = first_from[bisect.bisect_right(values, threshold)]
+            if i == len(flat):
+                result = pa._partition_search(G, r, threshold=threshold, family=family)
+                assert (result.partition.parts, result.value) == flat[first_at[values[-1]]]
+                continue
+            with pytest.raises(CertificationError) as info:
+                pa._partition_search(G, r, threshold=threshold, family=family)
+            assert info.value.partition.parts == flat[i][0]
+            assert str(info.value) == f"partition keeps min-part bound {flat[i][1]} above {threshold}"
+
+
+def test_failing_search_stops_at_its_first_failing_leaf(monkeypatch):
+    """(3, 2) at threshold 0.3: the walk meets a leaf above it after 6,309
+    of the 7,388 nodes a full walk takes (one part bound each), and goes
+    no further."""
+    family = build_nonpavable_general(3, 2)
+    real = pa._eig_min
+    nodes = []
+
+    def counting(H):
+        nodes.append(H.shape[0])
+        return real(H)
+
+    monkeypatch.setattr(pa, "_eig_min", counting)
+    with pytest.raises(CertificationError, match="bound 0.340543024316866 above 0.3"):
+        pa._partition_search(gram(family.vectors), 3, threshold=0.3, family=family)
+    assert len(nodes) == 6309

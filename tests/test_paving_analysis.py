@@ -11,6 +11,7 @@ from nonpaving import (
     FrameFamily,
     InternalInconsistencyError,
     Partition,
+    ProjectionMatrix,
     ResourceLimitError,
     RieszCertificate,
     Witness,
@@ -61,6 +62,35 @@ def test_partition_from_assignment():
 def test_partition_from_assignment_rejects_bad_label():
     with pytest.raises(ValueError):
         partition_from_assignment([0, 2], 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: partition_from_assignment([0.9, 1.5, 0, 0, 1, 1, 1, 1], 2),
+        lambda: Partition(((0.5, 1), (2,))),
+        lambda: riesz_lower_bound(build_nonpavable_r2(1), [0.2, 1.9]),
+        lambda: certify_nonpavable(build_nonpavable_general(3, 2), "sampled", count=2.7),
+        lambda: ProjectionMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex), 2.9),
+        lambda: partition_from_assignment([True, False], 2),
+    ],
+    ids=["labels", "partition-indices", "subset", "count", "rank", "bool-labels"],
+)
+def test_non_integral_labels_and_indices_are_rejected(call):
+    """int() would truncate each of these to a different, valid request
+    (a bool is refused too, as it is for r and n)."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integers_are_accepted():
+    labels = np.array([1, 0, 1], dtype=np.int32)
+    assert partition_from_assignment(labels, np.int64(2)).parts == ((1,), (0, 2))
+    assert Partition(((np.int64(1), 0),)).parts == ((0, 1),)
+    fam = build_nonpavable_r2(1)
+    assert riesz_lower_bound(fam, np.array([0, 1])) == riesz_lower_bound(fam, [0, 1])
+    summary = certify_nonpavable(build_nonpavable_general(3, 2), "sampled", count=np.int64(3))
+    assert summary.count == 3 and type(summary.count) is int
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +275,20 @@ def test_certificate_rejects_misaligned_bounds():
     p = partition_from_assignment([0, 1], 2)
     with pytest.raises(ValueError):
         RieszCertificate(p, (1.0,), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_certificate_rejects_non_finite_bounds(bad):
+    """abs(x - nan) > 1e-12 is False, so a tolerance check alone lets nan in."""
+    p = partition_from_assignment([0, 1], 2)
+    with pytest.raises(ValueError, match="finite"):
+        RieszCertificate(p, (0.5, 0.7), bad)
+    with pytest.raises(ValueError, match="finite"):
+        RieszCertificate(p, (bad, 0.7), 0.7)
+    with pytest.raises(ValueError, match="finite"):
+        Witness(1, 0, (0,), np.array([1.0 + 0j]), bad)
+    with pytest.raises(ValueError, match="unit norm"):
+        Witness(1, 0, (0,), np.array([complex(bad, 0.0)]), 0.5)
 
 
 def test_certificate_rejects_witness_below_part_bound():

@@ -4,8 +4,9 @@ Relabeling the parts keeps every part, so every bit. Shifting or reflecting
 the row index of every block keeps every part's exact spectrum on a stacked
 DFT family, and the computed values stay within the window `_row_group`
 reports. A family whose Gram lacks that invariance gets the trivial group,
-and a walk that comes within the window of a certify threshold is rerun
-with the trivial group, so both still report what the flat walk reports.
+and a walk that passes a certify threshold names the flat walk's first
+partition above it from the orbits it evaluates, so both still report what
+the flat walk reports.
 """
 
 import numpy as np
@@ -100,24 +101,14 @@ def test_gram_defect_falls_back_to_the_trivial_group():
     assert value == want_value
 
 
-def test_walk_near_the_threshold_reruns_with_the_trivial_group(monkeypatch):
+def test_walk_from_below_the_threshold_names_the_flat_first_failure(monkeypatch):
     """An all-zero incumbent (value 0) lets the row-reduced walk start under
-    a 0.45 threshold; it meets a leaf within its window of it, and the rerun
-    names the flat walk's first partition above 0.45."""
+    a 0.45 threshold; it names the flat walk's first partition above 0.45."""
     family = FAMILIES[(2, 3)]
     G = gram(family.vectors)
     monkeypatch.setattr(pa, "_structured_labelings",
                         lambda fam, parts: np.zeros((1, fam.count), dtype=np.int64))
-    real = pa._leader_search
-    groups = []
-
-    def recording(G, num_parts, trigger, maps, *args):
-        groups.append(len(maps))
-        return real(G, num_parts, trigger, maps, *args)
-
-    monkeypatch.setattr(pa, "_leader_search", recording)
     first = next(p for p, v in flat_partition_values(G, 2) if v > 0.45)
     with pytest.raises(CertificationError) as info:
         pa._partition_search(G, 2, threshold=0.45, family=family)
     assert info.value.partition.parts == first
-    assert groups == [11, 0]

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
 top-level private helper is used somewhere in the package, and the column
-product V^*V is written once.
+product V^*V and the bound-failure message are each written once.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -102,3 +102,10 @@ def test_column_product_is_written_once():
     sites = [(p.name, m.group(0)) for p in SRC.glob("*.py")
              for m in product.finditer(p.read_text(encoding="utf-8"))]
     assert sites == [("matrix_core.py", "V.conj().T @ V")]
+
+
+def test_bound_failure_message_is_written_once():
+    message = re.compile(r"partition keeps min-part bound \{")
+    sites = [p.name for p in SRC.glob("*.py")
+             for _ in message.finditer(p.read_text(encoding="utf-8"))]
+    assert sites == ["paving_analysis.py"]
