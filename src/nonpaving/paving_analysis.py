@@ -7,8 +7,11 @@ of a built (r, n) family keeps all parts' bounds large: for every partition,
 a pigeonhole argument finds n rows of one DFT block inside a single part,
 and a unit coefficient vector in the null space of the block's band columns
 combines them into a vector of squared norm at most delta_k, which shrinks
-like 1/n. The witness is explicit and is re-verified directly against the
-matrix wherever it is reported.
+like 1/n. That lemma holds for every partition at once when block k's rows
+are orthonormal DFT rows times the block's column weights, so certification
+checks that block structure once (`_check_block_structure`) and then
+computes only the certificate's own witness, which is explicit and is
+re-verified directly against the matrix.
 
 Exhaustive questions over all r^M labeled partitions are answered by one
 depth-first branch-and-bound over label prefixes (`_partition_search`). It
@@ -19,30 +22,26 @@ structured incumbent. Orbits of the leaves near the best are re-evaluated,
 so it reports exactly what a walk over every partition in enumeration order
 reports, its first partition above a certify threshold included (the walk
 stops at its first leaf above it), while computing 155 part bounds for
-(2, 4) instead of two per partition; its witness table takes one SVD call
-per subset size.
+(2, 4) instead of two per partition.
 Sampled certification keeps its draws as one label array and checks them
-with stacked eigensolves and SVDs, grouped by part size. A draw puts r^2 n
-rows of C^{rn} into r parts, so its largest part holds at least rn rows,
-and more (a singular Gram, whose bound is at rounding level) unless every
-part holds exactly rn. That part's bound, solved first, caps the draw's
-value, and all parts are solved only for draws that could fail or be the
-worst (`_sampled_values`). Every
-distinct witness row set is solved once (`_sampled_witnesses`, by
-`_block_witnesses`), so every value is bit for bit what `riesz_lower_bound`
-and `witness_coefficients` compute.
+with stacked eigensolves, grouped by part size. A draw puts r^2 n rows of
+C^{rn} into r parts, so its largest part holds at least rn rows, and more
+(a singular Gram, whose bound is at rounding level) unless every part holds
+exactly rn. That part's bound, solved first, caps the draw's value, and all
+parts are solved only for draws that could fail or be the worst
+(`_sampled_values`), so every value is bit for bit what `riesz_lower_bound`
+computes.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .constructions import StackedDftFrame
 from .errors import CertificationError, InternalInconsistencyError, ResourceLimitError
 from .frame_ops import FrameFamily, _validate_subset
-from .matrix_core import _as_int, gram
+from .matrix_core import _as_int, dft_matrix, gram
 
 __all__ = [
     "DEFAULT_ASSIGNMENT_BUDGET",
@@ -165,7 +164,7 @@ def riesz_lower_bound(family: FrameFamily, subset) -> float:
     so it equals a certificate's per-part bound bit for bit.
     """
     idx = _validate_subset(subset, family.count)
-    return _eig_min(gram(family.vectors)[np.ix_(idx, idx)])
+    return _eig_min(gram(family.vectors).take(idx, 0).take(idx, 1))
 
 
 def _prune_margin(G: np.ndarray) -> float:
@@ -294,13 +293,13 @@ def _partition_search(
 
     Reports exactly what a flat walk over every assignment in lexicographic
     label order (index 0 most significant) reports: its first maximizer,
-    whose part bounds are computed from the same `G[np.ix_(idx, idx)]` as
-    `riesz_lower_bound` with sorted idx, so its value is bit for bit the
-    flat walk's, or CertificationError naming its first partition above
-    `threshold`. Rows are appended in index order, so each part's index
-    list stays sorted. The walk covers one representative per orbit of a
-    symmetry group, depth first over label prefixes, children in label
-    order:
+    whose part bounds are computed from the same C-contiguous gather
+    `G.take(idx, 0).take(idx, 1)` as `riesz_lower_bound` with sorted idx,
+    so its value is bit for bit the flat walk's, or CertificationError
+    naming its first partition above `threshold`. Rows are appended in
+    index order, so each part's index list stays sorted. The walk covers
+    one representative per orbit of a symmetry group, depth first over
+    label prefixes, children in label order:
 
     - Relabeling. Permuting the labels keeps every part, so every bit; the
       lexicographically least relabeling is the restricted-growth string,
@@ -379,7 +378,7 @@ def _partition_search(
             part = parts[j]
             part.append(i)
             before = values[j]
-            values[j] = _eig_min(G[np.ix_(part, part)])
+            values[j] = _eig_min(G.take(part, 0).take(part, 1))
             value = min(values)
             if i == last:
                 if value >= level - window:
@@ -468,6 +467,12 @@ class Witness:
         object.__setattr__(self, "coefficients", c)
         indices = tuple(_as_int(i, "witness index") for i in self.indices)
         object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "k", _as_int(self.k, "witness block"))
+        object.__setattr__(self, "part", _as_int(self.part, "witness part"))
+        if self.k < 1:
+            raise ValueError(f"witness block k must be >= 1, got {self.k}")
+        if self.part < 0:
+            raise ValueError(f"witness part must be >= 0, got {self.part}")
         if not (math.isfinite(self.achieved_norm_sq) and self.achieved_norm_sq >= 0):
             raise ValueError("achieved_norm_sq must be finite and nonnegative")
 
@@ -521,27 +526,62 @@ def _block_witnesses(
     return np.concatenate(coeffs), np.concatenate(norms)
 
 
-def _witness_table(family: StackedDftFrame) -> dict[tuple[int, tuple[int, ...]], float]:
-    """Achieved witness norm for every (k, rows) a witness can be built from.
+def _check_block_structure(family: StackedDftFrame) -> None:
+    """Prove once that every partition's witness is at most delta_k + WITNESS_TOL.
 
-    `witness_coefficients` builds block k's candidate from the rows of block
-    k in the part holding the most of them, at least n of its r*n. Any
-    subset of the block with at least n rows is such a selection (put it
-    in part 0 and spread the rest of the block evenly over the other
-    parts, none of which then holds more), so the table lists exactly the
-    candidates over all partitions: for (2, 4), 163 entries in five stacked
-    SVD calls against 65,536 partitions. Entries are bit-identical to the
-    achieved_norm_sq the per-partition call computes.
+    With m = rn, D = `dft_matrix(m)` and w = `layout.column_weights(k)` as
+    computed (zero on block k's prefix, t = fl(sqrt(delta_k)) on its tail),
+    the check measures, in Frobenius norm,
+
+    - o' = ||gram(D) - I||, which must be at most m (m + 2) eps, and
+    - e'_k = ||F_k - D * w|| for the rows F_k of every block k < r, which
+      must be at most 2 sqrt(m) eps (a built family's rows are exactly those
+      products, so e'_k = 0),
+
+    and raises InternalInconsistencyError otherwise. Both bounds sit well
+    above rounding: o' is about 2 sqrt(m) eps for the computed DFT, for m
+    from 2 to 1024.
+
+    Lemma. Let o = ||DD* - I||_2 and e = ||E||_2, E = F_k - DW, for the
+    stored values in exact arithmetic. Take rows S of block k and a unit c
+    whose combination sum_a c_a f_a vanishes on the band. DW is zero on the
+    prefix, so that combination is t (sum_a c_a d_a) on the tail plus
+    (sum_a c_a E_a) off the band, and
+        ||sum_a c_a f_a|| <= t ||sum_a c_a d_a|| + e <= t sqrt(1 + o) + e,
+    as D_S D_S^* is a principal submatrix of DD*. So every witness, in every
+    partition, is at most b_k = (t sqrt(1 + o) + e)^2; with o = e = 0 and
+    t^2 = delta_k this is the paper's bound delta_k.
+
+    Rounding. Let u = eps / 2; m (m + 2) eps <= 1e-3 throughout. An entry
+    of gram(D) is an m-term complex dot product, off by at most
+    sqrt(2) gamma_{m+2} (1 + o) (Cauchy-Schwarz on rows of squared norm at
+    most 1 + o), plus u (1 + o) for the Hermitian average; subtracting I is
+    exact (Sterbenz), and a computed Frobenius norm is within a factor
+    1 + 2 m^2 eps of the exact one. So o <= o' (1 + 2 m^2 eps)
+    + 0.85 m (m + 2) eps (1 + o), which gives o <= 1.9 m (m + 2) eps.
+    Each part of D * w is off by at most u |D_aj w_j|, and
+    ||DW||_F <= sqrt(1 + o) ||w|| with ||w||^2 = m (unit rows), so
+    e <= 2.6 sqrt(m) eps. With t <= sqrt(delta_k) (1 + u) and delta_k < r,
+        b_k - delta_k <= delta_k ((1 + u)^2 (1 + o) - 1)
+                         + 2 t sqrt(1 + o) e + e^2 <= 3 r m (m + 2) eps,
+    which is at most WITNESS_TOL = 1e-8 while r m (m + 2) <= 1.5e7: rn up
+    to 2,700 for r = 2 and up to 1,360 for r = 8 ((4, 8) has 4,352 and
+    (8, 16) 133,120). The check costs one m x m product and r - 1 m x m
+    residuals, against the (r m) x (r m) Gram certification forms anyway.
     """
-    table = {}
+    m = family.r * family.n
+    D = dft_matrix(m)
+    defect = float(np.linalg.norm(gram(D) - np.eye(m)))
+    if not defect <= m * (m + 2) * _EPS:
+        raise InternalInconsistencyError(f"DFT rows are not orthonormal: ||DD* - I||_F = {defect}")
     for k in range(1, family.r):
-        block = family.layout.block_rows(k)
-        band = family.layout.band_columns(k)
-        for size in range(family.n, len(block) + 1):
-            subsets = list(combinations(block, size))
-            _, norms = _block_witnesses(family.vectors, np.array(subsets), band)
-            table.update(zip([(k, rows) for rows in subsets], norms.tolist()))
-    return table
+        rows = family.layout.block_rows(k)
+        block = family.vectors[rows.start:rows.stop]
+        residual = float(np.linalg.norm(block - D * family.layout.column_weights(k)))
+        if not residual <= 2.0 * math.sqrt(m) * _EPS:
+            raise InternalInconsistencyError(
+                f"block {k} rows differ from DFT rows times its column weights by {residual}"
+            )
 
 
 def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witness:
@@ -552,30 +592,40 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     parts the one holding the most is taken (ties to the lowest label).
     Those rows vanish on the earlier blocks' band columns, and a unit
     coefficient vector in the null space of their own band columns (n-1
-    constraints against >= n vectors) combines them into a vector supported
-    on the tail, of squared norm at most delta_k. The witness with the
-    smallest achieved norm over k, picked by `_sampled_witnesses`, is returned.
+    constraints against >= n vectors), one `_block_witnesses` call on that
+    selection, combines them into a vector supported on the tail, of squared
+    norm at most delta_k. The witness with the smallest achieved norm over
+    k (ties to the first k) is returned.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("witness extraction needs a built family with layout metadata")
-    r = family.r
+    r, n = family.r, family.n
     if partition.num_parts != r or partition.size != family.count:
         raise ValueError(
             f"partition must split {family.count} indices into {r} parts, "
             f"got {partition.size} into {partition.num_parts}"
         )
-    owner = {i: j for j, p in enumerate(partition.parts) for i in p}
-    labels = np.array([[owner[i] for i in range(family.count)]])
-    kept = {}
-    ks, parts, achieved = _sampled_witnesses(family, labels, kept)
-    k = int(ks[0])
-    wit = Witness(k, int(parts[0]), *kept[k], float(achieved[0]))
-    if wit.achieved_norm_sq > _witness_limit(family, k):
-        raise InternalInconsistencyError(
-            f"witness achieved {wit.achieved_norm_sq}, "
-            f"above delta_{k} = {family.schedule.deltas[k - 1]}"
+    best = None
+    for k in range(1, r):
+        block = family.layout.block_rows(k)
+        members = [[i for i in p if i in block] for p in partition.parts]
+        sizes = [len(rows) for rows in members]
+        part = sizes.index(max(sizes))
+        if sizes[part] < n:
+            raise InternalInconsistencyError(
+                f"pigeonhole failed for block {k}: largest intersection {sizes[part]} < {n}"
+            )
+        coeff, achieved = _block_witnesses(
+            family.vectors, np.array([members[part]]), family.layout.band_columns(k)
         )
-    return wit
+        if best is None or achieved[0] < best[0]:
+            best = (float(achieved[0]), k, part, members[part], coeff[0])
+    achieved, k, part, rows, coeff = best
+    if achieved > _witness_limit(family, k):
+        raise InternalInconsistencyError(
+            f"witness achieved {achieved}, above delta_{k} = {family.schedule.deltas[k - 1]}"
+        )
+    return Witness(k, part, tuple(rows), coeff, achieved)
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,6 +656,11 @@ class RieszCertificate:
         if abs(min(finite) - self.min_part_bound) > 1e-12:
             raise ValueError("min_part_bound does not match part_bounds")
         if self.witness is not None:
+            if not self.witness.part < self.partition.num_parts:
+                raise ValueError(
+                    f"witness part {self.witness.part} out of range for "
+                    f"{self.partition.num_parts} parts"
+                )
             anchor = self.part_bounds[self.witness.part]
             if anchor is None:
                 raise ValueError("witness points at an empty part")
@@ -741,62 +796,6 @@ def _sampled_values(
             return values, bounds
 
 
-def _sampled_witnesses(
-    family: StackedDftFrame, labels: np.ndarray, kept: dict | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Witness block k, part and achieved norm of every drawn labeling.
-
-    The one witness choice: per labeling, for each block k the part holding
-    the most of its rows (ties to the lowest label), and the k of smallest
-    achieved norm (ties to the first). InternalInconsistencyError is raised
-    if some block has fewer than n rows in every part of some labeling.
-    Draws that pick the same rows of a block share one `_block_witnesses`
-    solve, which gives them the bits each would get on its own.
-    Given a dict `kept` and a single labeling, block k's witness rows and
-    coefficients are stored in it under k, so none is computed twice.
-    """
-    r, n = family.r, family.n
-    per_block = np.empty((len(labels), r - 1))
-    parts = np.empty((len(labels), r - 1), dtype=np.int64)
-    for k in range(1, r):
-        span = family.layout.block_rows(k)
-        block = labels[:, span.start:span.stop]
-        tallies = np.stack([(block == j).sum(axis=1) for j in range(r)], axis=1)
-        chosen = parts[:, k - 1] = tallies.argmax(axis=1)
-        sizes = tallies.max(axis=1)
-        if sizes.min() < n:
-            raise InternalInconsistencyError(
-                f"pigeonhole failed for block {k}: largest intersection {sizes.min()} < {n}"
-            )
-        band = family.layout.band_columns(k)
-        for s in np.unique(sizes):
-            draws = np.flatnonzero(sizes == s)
-            rows = span.start + _members(block[draws] == chosen[draws, None])
-            distinct, which = np.unique(rows, axis=0, return_inverse=True)
-            coeff, norms = _block_witnesses(family.vectors, distinct, band)
-            per_block[draws, k - 1] = norms[which]
-            if kept is not None:
-                kept[k] = rows[0], coeff[which[0]]
-    best = per_block.argmin(axis=1)
-    return best + 1, parts[np.arange(len(labels)), best], per_block.min(axis=1)
-
-
-def _raise_first_sampled_failure(
-    family: StackedDftFrame, labels: np.ndarray, value: float, threshold: float
-) -> None:
-    """Raise what checking the first failing draw on its own raises: a
-    min-part bound `value` above the threshold before a bad witness, as
-    certifying the draws one by one would. `value` is the draw's min-part
-    bound, or an upper bound on it at most the threshold."""
-    if value > threshold:
-        raise _bound_failure(labels, family.r, value, threshold)
-    partition = partition_from_assignment(labels, family.r)
-    witness_coefficients(family, partition)
-    raise InternalInconsistencyError(
-        f"batched checks reject partition {partition.parts}, the per-partition checks pass"
-    )
-
-
 def certify_nonpavable(
     family: StackedDftFrame,
     mode: str,
@@ -812,20 +811,17 @@ def certify_nonpavable(
     using the Philox stream for `seed` and checks them in stacks: the bound
     of each draw's largest part caps its value, and all its part bounds are
     computed only where that cap exceeds the threshold or reaches the
-    largest value computed (`_sampled_values`), while every draw's witness
-    is checked (`_sampled_witnesses`). Each partition must
+    largest value computed (`_sampled_values`). Each partition must
     satisfy min-part bound <= max(delta_1..delta_{r-1}) + 1e-8, or
     CertificationError carries the first one that does not (in enumeration
-    or draw order), and must yield valid witness coefficients, or
-    InternalInconsistencyError is raised. Sampled draws fail in draw order,
-    and a draw failing both checks fails the bound check. Exhaustive mode
-    checks witnesses once per block subset, stacked by subset size, after
-    the search, so a partition above the threshold is reported first here
-    too: every entry of `_witness_table` must stay within
-    delta_k + WITNESS_TOL, or InternalInconsistencyError names the (k, rows)
-    that fails. The summary reports the worst (largest) min-part bound seen,
-    with a full certificate for the first partition attaining it. Families
-    with n = 1 certify trivially and are flagged vacuous.
+    or draw order). Then one structural check, `_check_block_structure`,
+    proves for every partition at once that its witness achieves at most
+    delta_k + WITNESS_TOL, or raises InternalInconsistencyError, so no
+    partition's witness is computed but the certificate's own. The summary
+    reports the worst (largest) min-part bound seen, with a full certificate
+    for the first partition attaining it, whose witness
+    (`witness_coefficients`) is checked against delta_k + WITNESS_TOL too.
+    Families with n = 1 certify trivially and are flagged vacuous.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("certification needs a built family with layout metadata")
@@ -837,12 +833,6 @@ def certify_nonpavable(
         seed = None
         checked = _check_assignment_budget(family.count, r, budget)
         res = _partition_search(gram(family.vectors), r, threshold=threshold, family=family)
-        for (k, rows), achieved in _witness_table(family).items():
-            if achieved > _witness_limit(family, k):
-                raise InternalInconsistencyError(
-                    f"witness for block {k} rows {rows} achieved {achieved}, "
-                    f"above delta_{k} = {family.schedule.deltas[k - 1]}"
-                )
         worst_partition, worst_bounds, worst_value = res.partition, res.part_bounds, res.value
     elif mode == "sampled":
         count = 0 if count is None else _as_int(count, "count")
@@ -853,11 +843,10 @@ def certify_nonpavable(
         rng = np.random.Generator(np.random.Philox(seed))
         labels = rng.integers(0, r, size=(count, family.count))
         values, bounds = _sampled_values(gram(family.vectors), labels, r, threshold)
-        witness_k, _, achieved = _sampled_witnesses(family, labels)
-        failed = (values > threshold) | (achieved > _witness_limit(family, witness_k))
+        failed = values > threshold  # only settled draws, whose values are exact
         if failed.any():
             first = failed.argmax()
-            _raise_first_sampled_failure(family, labels[first], float(values[first]), threshold)
+            raise _bound_failure(labels[first], r, float(values[first]), threshold)
         checked = count
         worst = int(values.argmax())
         worst_partition = partition_from_assignment(labels[worst], r)
@@ -866,6 +855,7 @@ def certify_nonpavable(
     else:
         raise ValueError(f'mode must be "exhaustive" or "sampled", got {mode!r}')
 
+    _check_block_structure(family)
     certificate = RieszCertificate(
         worst_partition,
         tuple(worst_bounds),

@@ -6,13 +6,16 @@ working directory.  It is prepended to ``sys.path`` for the test process and
 to ``PYTHONPATH`` for every subprocess a test starts, such as
 ``python -m nonpaving`` run with ``cwd=tmp_path``.
 
-The ``column_passes`` fixture counts the package's column products V^*V.
+The ``column_passes`` fixture counts the package's column products V^*V;
+``perturbed_family`` is a built family with one block-1 row moved off the
+block structure.
 """
 
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -42,3 +45,19 @@ def column_passes(monkeypatch):
         if name.startswith("nonpaving") and getattr(module, "_column_pass", None) is original:
             monkeypatch.setattr(module, "_column_pass", counting)
     return shapes
+
+
+@pytest.fixture
+def perturbed_family():
+    """The (2, 3) family with one tail entry of block-1 row 0 moved by 1e-10.
+
+    That is far above rounding for the block-structure check and far below
+    the 1e-8 tightness rule, so the family still builds as a
+    StackedDftFrame, with the built schedule and layout.
+    """
+    from nonpaving import StackedDftFrame, build_nonpavable_general
+
+    base = build_nonpavable_general(2, 3)
+    vectors = np.array(base.vectors)
+    vectors[0, -1] += 1e-10
+    return StackedDftFrame(vectors, base.r, base.n, base.schedule, base.layout)

@@ -364,18 +364,20 @@ def test_certify_sampled_negative_seed_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_certify_internal_check_failure_is_exit_3(tmp_path, capsys, monkeypatch):
-    import nonpaving.paving_analysis as pa
+def test_certify_internal_check_failure_is_exit_3(tmp_path, capsys, monkeypatch,
+                                                  perturbed_family):
+    """A family 1e-10 off the block structure, given to certify in place of
+    the built (2, 3) family, fails the structure check in both modes."""
+    import nonpaving.cli as cli
 
-    # (3, 2) witnesses come within 0.05 of their delta, so they fail; the
-    # certify threshold, 0.9 - 0.05, stays above every drawn min-part bound
-    monkeypatch.setattr(pa, "WITNESS_TOL", -0.05)
+    monkeypatch.setattr(cli, "build_nonpavable_general", lambda r, n: perturbed_family)
     out = tmp_path / "c.json"
-    code, _, err = run(capsys, "certify", "--r", "3", "--n", "2", "--mode", "sampled",
-                       "--count", "50", "--seed", "1", "--out", str(out))
-    assert code == 3
-    assert err.startswith("nonpaving: internal check failed: witness achieved ")
-    assert not out.exists()
+    for mode in (["exhaustive"], ["sampled", "--count", "50", "--seed", "1"]):
+        code, _, err = run(capsys, "certify", "--r", "2", "--n", "3", "--mode", *mode,
+                           "--out", str(out))
+        assert code == 3
+        assert err.startswith("nonpaving: internal check failed: block 1 rows differ ")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,13 @@
 The search must report exactly what walking every labeled partition in
 enumeration order reports: the same first maximizer, the same float bit for
 bit, the same first partition above a certify threshold, and byte-identical
-certificates. Witnesses are checked once per block subset; that table must
-hold exactly the witnesses the per-partition call builds.
+certificates. Only the certificate's witness is computed; the block-structure
+check (tests/test_block_structure.py) proves every other one.
 """
 
 import bisect
-import itertools
 import json
 import math
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +24,11 @@ from nonpaving import (
     build_nonpavable_general,
     certify_nonpavable,
     gram,
-    partition_from_assignment,
     riesz_lower_bound,
-    witness_coefficients,
 )
 from nonpaving.cli import main
 
-from oracles import flat_max_min_partition, flat_partition_values, oracle_selection_witness
+from oracles import flat_max_min_partition, flat_partition_values
 
 DATA = Path(__file__).parent / "data"
 
@@ -190,12 +186,12 @@ def test_search_matches_trivial_group_search_r2_n5(monkeypatch):
     assert reduced.value == trivial.value
 
 
-@pytest.mark.parametrize("n, calls", [(3, 5), (4, 6)])
+@pytest.mark.parametrize("n, calls", [(3, 1), (4, 1)])
 def test_exhaustive_svd_calls_are_pinned(n, calls, monkeypatch):
-    """One stacked SVD call per block-subset size for the witness table
-    (n + 1 sizes for r = 2), and one for the certificate's witness, which
-    picks it and keeps its coefficients. One call per subset would take
-    43 and 164."""
+    """One SVD call, for the certificate's witness on its one block (r = 2):
+    the block-structure check proves every other witness without one.
+    Solving every witness row set would take n + 1 stacked calls, one per
+    set size, or 43 and 164 calls one set at a time."""
     real = np.linalg.svd
     made = []
 
@@ -220,45 +216,12 @@ def test_exhaustive_certificate_bytes_unchanged(n, tmp_path, capsys):
     assert out.read_bytes() == (DATA / f"cert_r2_n{n}_exhaustive.json").read_bytes()
 
 
-# ---------------------------------------------------------------------------
-# witness table
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_witness_table_holds_every_partition_witness(n):
-    family = build_nonpavable_general(2, n)
-    table = pa._witness_table(family)
-    assert len(table) == sum(comb(2 * n, s) for s in range(n, 2 * n + 1))
-    used = set()
-    for labels in itertools.product(range(2), repeat=family.count):
-        wit = witness_coefficients(family, partition_from_assignment(labels, 2))
-        key = (wit.k, wit.indices)
-        assert table[key] == wit.achieved_norm_sq
-        used.add(key)
-    assert used == set(table)
-
-
-@pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (3, 1), (3, 2)])
-def test_witness_table_matches_per_selection_oracle_bit_for_bit(r, n):
-    family = build_nonpavable_general(r, n)
-    table = pa._witness_table(family)
-    rn = r * n
-    assert len(table) == (r - 1) * sum(comb(rn, s) for s in range(n, rn + 1))
-    for (k, rows), achieved in table.items():
-        assert achieved == oracle_selection_witness(family.vectors, k, rows, n)[1]
-
-
-def test_exhaustive_certify_rejects_a_bad_witness_entry(monkeypatch):
-    real = pa._witness_table
-
-    def inflated(family):
-        table = real(family)
-        table[(1, (0, 1, 3))] = 1.0
-        return table
-
-    monkeypatch.setattr(pa, "_witness_table", inflated)
-    with pytest.raises(InternalInconsistencyError, match=r"block 1 rows \(0, 1, 3\)"):
-        certify_nonpavable(build_nonpavable_general(2, 3), "exhaustive")
+def test_exhaustive_certify_rejects_a_bad_witness_entry(perturbed_family):
+    """A family entry 1e-10 off the block structure is refused after the
+    search (which passes: no split of it keeps a bound above the threshold),
+    since the structure check cannot prove its witnesses."""
+    with pytest.raises(InternalInconsistencyError, match="block 1 rows differ"):
+        certify_nonpavable(perturbed_family, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +232,8 @@ def test_certify_reports_flat_first_failure_before_witnesses(tmp_path, capsys, m
     """With WITNESS_TOL at -0.1 the threshold is delta_1 - 0.1 = 0.4 for
     (2, 3): the structured incumbent (0.5) is above it, so the walk prunes
     against 0.4 and names the flat walk's first partition above 0.4. The
-    search runs before the witness table, which would fail too, as a
-    sampled draw failing both checks fails the bound check."""
+    search runs before the certificate's witness, which would fail too, as
+    a sampled bound failure comes before it."""
     monkeypatch.setattr(pa, "WITNESS_TOL", -0.1)
     family = build_nonpavable_general(2, 3)
     threshold = family.schedule.deltas[0] - 0.1

@@ -291,6 +291,21 @@ def test_certificate_rejects_non_finite_bounds(bad):
         Witness(1, 0, (0,), np.array([complex(bad, 0.0)]), 0.5)
 
 
+@pytest.mark.parametrize(
+    "k, part, message",
+    [(1, -1, "witness part must be >= 0"),
+     (1, 2, "witness part 2 out of range for 2 parts"),
+     (0, 0, "witness block k must be >= 1")],
+    ids=["part-negative", "part-past-the-last", "k-zero"],
+)
+def test_certificate_rejects_witness_indices_out_of_range(k, part, message):
+    """Without range checks, part=-1 would be compared with the last part's
+    bound, and part=2 on two parts would raise IndexError."""
+    with pytest.raises(ValueError, match=message):
+        RieszCertificate(partition_from_assignment([0, 1], 2), (0.5, 0.7), 0.5,
+                         Witness(k, part, (0,), np.array([1 + 0j]), 0.8))
+
+
 def test_certificate_rejects_witness_below_part_bound():
     p = partition_from_assignment([0, 0], 2)
     wit = Witness(1, 0, (0,), np.array([1.0 + 0j]), 0.1)
