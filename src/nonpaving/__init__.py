@@ -16,7 +16,6 @@ from .constructions import (
     StackedDftFrame,
     block_layout,
     build_nonpavable_general,
-    build_nonpavable_r2,
     delta_schedule,
     doubled_family,
     doubling_step,
@@ -93,7 +92,6 @@ __all__ = [
     "StackedDftFrame",
     "delta_schedule",
     "block_layout",
-    "build_nonpavable_r2",
     "build_nonpavable_general",
     "doubling_step",
     "doubled_family",

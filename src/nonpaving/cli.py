@@ -39,6 +39,7 @@ from .matrix_core import (
 )
 from .paving_analysis import (
     DEFAULT_ASSIGNMENT_BUDGET,
+    _check_assignment_budget,
     best_partition_riesz,
     certify_nonpavable,
 )
@@ -318,11 +319,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lines = [",".join(header)]
     for n in args.n_list:
         schedule = delta_schedule(args.r, n)
-        best = ""
-        if args.r ** (args.r * args.r * n) <= args.budget:
+        try:
+            _check_assignment_budget(args.r * args.r * n, args.r, args.budget)
+        except ResourceLimitError:
+            best = ""
+        else:
             family = build_nonpavable_general(args.r, n)
-            _, value = best_partition_riesz(family, args.r, budget=args.budget)
-            best = format_real(value)
+            best = format_real(best_partition_riesz(family, args.r, budget=args.budget)[1])
         lines.append(
             ",".join([str(n)] + [format_real(d) for d in schedule.deltas] + [best])
         )

@@ -15,6 +15,11 @@ unit-norm r-tight family whose Gram (divided by r) is a projection with
 constant diagonal 1/r. For k <= r-1 the deltas shrink like 1/n, which is what
 defeats uniform r-part Riesz bounds downstream.
 
+So (r, n) fixes a built family, and everything else is derived from it:
+`DeltaSchedule(r, n)`, `BlockLayout(schedule)`, `StackedDftFrame(vectors,
+layout)`. Only what rounding or given vectors can break is checked: the
+partial sums against their closed form, the matrix shape, r-tightness.
+
 The doubling map sends a family F to (1/sqrt 2) [[F, F], [F, -F]], doubling
 both the vector count and the dimension while halving squared entry size,
 preserving frame bounds and row norms exactly, and keeping the Gram matrix a
@@ -22,7 +27,7 @@ block-diagonal stack of copies of the original Gram.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -39,7 +44,6 @@ __all__ = [
     "StackedDftFrame",
     "delta_schedule",
     "block_layout",
-    "build_nonpavable_r2",
     "build_nonpavable_general",
     "doubling_step",
     "doubled_family",
@@ -63,32 +67,32 @@ def _delta_value(r: int, n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class DeltaSchedule:
-    """Column weight schedule delta_1..delta_r for an (r, n) stacked family.
+    """Column weight schedule delta_1..delta_r of the (r, n) stacked family.
 
-    Invariants checked at construction: each delta_k equals the defining
-    ratio exactly as evaluated in floating point, partial sums match the
-    closed form rk/((r-k)n+k) to 1e-12, the total is r to 1e-12, and every
-    proper partial sum stays strictly below r (so band weights are real).
+    Only r and n are given; deltas and partial_sums are derived from them.
+    Each delta_k is the defining ratio, one correctly rounded division of
+    exact integers. The checks are on the floating-point partial sums:
+    each matches the closed form rk/((r-k)n+k) to 1e-12, the total is r to
+    1e-12, and every proper partial sum stays strictly below r (so band
+    weights are real).
     """
 
     r: int
     n: int
-    deltas: tuple[float, ...]
-    partial_sums: tuple[float, ...]
+    deltas: tuple[float, ...] = field(init=False)
+    partial_sums: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         _validate_r_n(self.r, self.n)
         r, n = self.r, self.n
-        if len(self.deltas) != r or len(self.partial_sums) != r:
-            raise ValueError("need exactly r deltas and r partial sums")
-        for k in range(1, r + 1):
-            d = self.deltas[k - 1]
-            if d != _delta_value(r, n, k):
-                raise ValueError(f"delta_{k} = {d!r} does not match the schedule formula")
+        deltas = tuple(_delta_value(r, n, k) for k in range(1, r + 1))
+        object.__setattr__(self, "deltas", deltas)
+        object.__setattr__(self, "partial_sums", tuple(accumulate(deltas)))
+        for k, total in enumerate(self.partial_sums, start=1):
             closed = r * k / ((r - k) * n + k)
-            if abs(self.partial_sums[k - 1] - closed) > _SUM_TOL:
+            if abs(total - closed) > _SUM_TOL:
                 raise ValueError(f"partial sum through delta_{k} deviates from {closed}")
-            if k < r and not self.partial_sums[k - 1] < r:
+            if k < r and not total < r:
                 raise ValueError(f"partial sum through delta_{k} must stay below r")
         if abs(self.partial_sums[-1] - r) > _SUM_TOL:
             raise ValueError(f"deltas must total {r}, got {self.partial_sums[-1]!r}")
@@ -101,14 +105,12 @@ class DeltaSchedule:
 
 
 def delta_schedule(r: int, n: int) -> DeltaSchedule:
-    """Compute the delta schedule for block count r >= 2 and band size n >= 1.
+    """The delta schedule for block count r >= 2 and band size n >= 1.
 
     For n = 1 every delta equals 1 and the family degenerates to stacked
     unscaled DFTs (certificates downstream flag this case as vacuous).
     """
-    _validate_r_n(r, n)
-    deltas = tuple(_delta_value(r, n, k) for k in range(1, r + 1))
-    return DeltaSchedule(r, n, deltas, tuple(accumulate(deltas)))
+    return DeltaSchedule(r, n)
 
 
 def _validate_r_n(r, n) -> None:
@@ -133,27 +135,28 @@ class BlockBands:
 class BlockLayout:
     """Per-block column layout of the (r, n) stacked family of `schedule`.
 
-    Block k (1-based, k < r) has zero prefix (k-1)(n-1), a band of n-1
-    columns at weight sqrt(r - sum of earlier deltas), and a tail at weight
+    Only the schedule is given; blocks are derived from it. Block k
+    (1-based, k < r) has zero prefix (k-1)(n-1), a band of n-1 columns at
+    weight sqrt(r - sum of earlier deltas), and a tail at weight
     sqrt(delta_k). Block r replaces band and tail with a single tail of
-    r+n-1 columns at weight sqrt(delta_r). Widths always total r*n.
+    r+n-1 columns at weight sqrt(delta_r). Nothing is checked here: widths
+    total r*n by construction, and every square root is of a positive
+    number because DeltaSchedule checks each proper partial sum below r.
     """
 
     schedule: DeltaSchedule
-    blocks: tuple[BlockBands, ...]
+    blocks: tuple[BlockBands, ...] = field(init=False)
 
     def __post_init__(self):
-        r, n = self.schedule.r, self.schedule.n
-        if len(self.blocks) != r:
-            raise ValueError("need exactly r blocks")
-        width = r * n
-        for k, b in enumerate(self.blocks, start=1):
-            if b.zero_width + b.band_width + b.tail_width != width:
-                raise ValueError(f"block {k} spans do not cover {width} columns")
-            if min(b.zero_width, b.band_width, b.tail_width) < 0:
-                raise ValueError(f"block {k} has a negative span")
-            if b.band_weight < 0 or b.tail_weight < 0:
-                raise ValueError(f"block {k} has a negative weight")
+        s = self.schedule
+        r, n = s.r, s.n
+        blocks = []
+        for k in range(1, r + 1):
+            zero, band = (k - 1) * (n - 1), (n - 1 if k < r else 0)
+            band_w = math.sqrt(s.residual_weight_sq(k)) if k < r else 0.0
+            tail_w = math.sqrt(s.deltas[k - 1])
+            blocks.append(BlockBands(zero, band, band_w, r * n - zero - band, tail_w))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     def _block(self, k: int) -> BlockBands:
         if not 1 <= k <= self.schedule.r:
@@ -181,48 +184,41 @@ class BlockLayout:
 
 
 def block_layout(r: int, n: int) -> BlockLayout:
-    """Column layout for the (r, n) stacked family.
-
-    Every square root is of a positive number: DeltaSchedule proves each
-    delta positive and each proper partial sum below r.
-    """
-    schedule = delta_schedule(r, n)
-    width = r * n
-    blocks = []
-    for k in range(1, r + 1):
-        zero, band = (k - 1) * (n - 1), (n - 1 if k < r else 0)
-        band_w = math.sqrt(schedule.residual_weight_sq(k)) if k < r else 0.0
-        tail_w = math.sqrt(schedule.deltas[k - 1])
-        blocks.append(BlockBands(zero, band, band_w, width - zero - band, tail_w))
-    return BlockLayout(schedule, tuple(blocks))
+    """Column layout for the (r, n) stacked family."""
+    return BlockLayout(delta_schedule(r, n))
 
 
 @dataclass(frozen=True, eq=False)
 class StackedDftFrame(FrameFamily):
-    """A built (r, n) family together with its schedule and column layout.
+    """A built family together with the column layout it was built from.
 
-    Construction checks the shape, the schedule, the layout's schedule, and
-    r-tightness by the one tightness rule, `frame_ops._require_tight`.
+    The layout carries the schedule, and the schedule carries r and n; all
+    three are read from it, not stored again. Construction checks that the
+    vectors have shape (r^2 n, r n) and that they are r-tight by the one
+    tightness rule, `frame_ops._require_tight`.
     """
 
-    r: int
-    n: int
-    schedule: DeltaSchedule
     layout: BlockLayout
 
     def __post_init__(self):
         super().__post_init__()
         r, n = self.r, self.n
-        _validate_r_n(r, n)
-        if self.vectors.shape != (r * r * n, r * n):
-            raise ValueError(
-                f"expected shape {(r * r * n, r * n)}, got {self.vectors.shape}"
-            )
-        if (self.schedule.r, self.schedule.n) != (r, n):
-            raise ValueError("schedule does not match r, n")
-        if self.layout.schedule != self.schedule:
-            raise ValueError("layout was not built from this schedule")
+        shape = (r * r * n, r * n)
+        if self.vectors.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {self.vectors.shape}")
         _require_tight(self, float(r))
+
+    @property
+    def schedule(self) -> DeltaSchedule:
+        return self.layout.schedule
+
+    @property
+    def r(self) -> int:
+        return self.schedule.r
+
+    @property
+    def n(self) -> int:
+        return self.schedule.n
 
     @property
     def vacuous(self) -> bool:
@@ -238,17 +234,7 @@ def build_nonpavable_general(r: int, n: int) -> StackedDftFrame:
     layout = block_layout(r, n)
     base = dft_matrix(r * n)
     stack = np.vstack([scale_columns(base, layout.column_weights(k)) for k in range(1, r + 1)])
-    return StackedDftFrame(stack, r, n, layout.schedule, layout)
-
-
-def build_nonpavable_r2(n: int) -> StackedDftFrame:
-    """The two-block family, build_nonpavable_general(2, n).
-
-    Top block: the 2n-point DFT with the first n-1 columns scaled by sqrt(2)
-    and the rest by sqrt(2/(n+1)). Bottom block: first n-1 columns zeroed,
-    the rest scaled by sqrt(2n/(n+1)).
-    """
-    return build_nonpavable_general(2, n)
+    return StackedDftFrame(stack, layout)
 
 
 def doubling_step(family: FrameFamily) -> FrameFamily:
@@ -276,17 +262,21 @@ def doubled_family(
     unchanged. Raises ResourceLimitError when the output would exceed
     entry_budget entries.
     """
-    if _as_int(steps, "steps") < 0:
+    steps = _as_int(steps, "steps")
+    if steps < 0:
         raise ValueError("steps must be >= 0")
+    entry_budget = _as_int(entry_budget, "entry_budget")
     if entry_budget < 1:
         raise ValueError("entry_budget must be positive")
-    entries = (family.count << steps) * (family.dim << steps)
-    if entries > entry_budget:
+    entries = family.count * family.dim
+    # 4^steps alone is over the budget once 2 * steps reaches its bit length.
+    if 2 * steps >= entry_budget.bit_length() or entries << 2 * steps > entry_budget:
         raise ResourceLimitError(
-            f"doubled family would hold {entries} entries, over the budget of {entry_budget}"
+            f"doubled family would hold {entries}*4^{steps} entries, "
+            f"over the budget of {entry_budget}"
         )
     out = family
-    for _ in range(int(steps)):
+    for _ in range(steps):
         out = doubling_step(out)
     return out
 
@@ -343,14 +333,5 @@ def sidecar_dict(family: StackedDftFrame) -> dict:
         "r": family.r,
         "n": family.n,
         "deltas": list(family.schedule.deltas),
-        "layout": [
-            {
-                "zero_width": b.zero_width,
-                "band_width": b.band_width,
-                "band_weight": b.band_weight,
-                "tail_width": b.tail_width,
-                "tail_weight": b.tail_weight,
-            }
-            for b in family.layout.blocks
-        ],
+        "layout": [asdict(b) for b in family.layout.blocks],
     }

@@ -70,8 +70,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # when the null space of a band sub-block is extracted.
 _NULL_REL_TOL = 1e-10
 
-# Largest stack of gathered matrices one batched eigvalsh or svd call gets
-# in sampled certification. Bigger stacks save some call overhead and raise
+# Largest stack of gathered principal submatrices one batched eigvalsh call
+# gets in sampled certification. Bigger stacks save some call overhead and raise
 # peak memory: on the sampled benchmark's two certify jobs, (3, 2) x 10,000
 # and (4, 8) x 2,000 draws, run in one process with one BLAS thread, 1 MiB
 # stacks took about 13% less time than 128 KiB stacks but peaked at 45.2 MB
@@ -140,14 +140,15 @@ def _check_assignment_budget(size: int, num_parts: int, budget: int) -> int:
         raise ValueError("size must be >= 1")
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
+    budget = _as_int(budget, "budget")
     if budget < 1:
         raise ValueError("budget must be positive")
-    total = num_parts**size
-    if total > budget:
+    # 2^size alone is over the budget once size reaches its bit length.
+    if (num_parts >= 2 and size >= budget.bit_length()) or num_parts**size > budget:
         raise ResourceLimitError(
-            f"{num_parts}^{size} = {total} assignments exceed the budget of {budget}"
+            f"{num_parts}^{size} assignments exceed the budget of {budget}"
         )
-    return total
+    return num_parts**size
 
 
 def _eig_min(H: np.ndarray) -> float:
@@ -483,47 +484,29 @@ def _witness_limit(family: StackedDftFrame, k):
     return np.asarray(family.schedule.deltas)[k - 1] + WITNESS_TOL
 
 
-def _block_witnesses(
-    vectors: np.ndarray, rows: np.ndarray, band: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witness coefficients on each selection of `rows` (B, s): s rows of one block.
+def _block_witness(vectors: np.ndarray, rows: list, band: range) -> tuple[np.ndarray, float]:
+    """Witness coefficients on `rows`, s rows of one block, and their squared norm.
 
-    For each selection, a unit vector in the null space of its band
-    sub-block (the band columns of its rows, transposed) is taken from a
-    full singular value decomposition: singular values below _NULL_REL_TOL
-    times the largest count as zero, and among the null basis vectors the
-    one with the largest first coordinate (in modulus) is chosen, ties to
-    the earliest, which makes the selection deterministic; with n - 1 band
-    columns against s >= n rows it is never empty. An empty band gives the
-    first unit vector. Returns the coefficients (B, s) and the squared norms
-    (B,) of the combinations they make, one SVD call per stack of
-    selections that fits in _STACK_BYTES.
-
-    Every step acts on one selection at a time inside numpy (LAPACK per
-    matrix, BLAS dots for the norm as np.linalg.norm takes it), so a
-    selection gets the same bits in any stack, alone included.
+    A unit vector in the null space of the rows' band sub-block (their band
+    columns, transposed) is taken from a full singular value decomposition:
+    singular values below _NULL_REL_TOL times the largest count as zero, and
+    among the null basis vectors the one with the largest first coordinate
+    (in modulus) is chosen, ties to the earliest, which makes the selection
+    deterministic; with n - 1 band columns against s >= n rows it is never
+    empty. An empty band gives the first unit vector. Returns the
+    coefficients (s,) and the squared norm of the combination they make.
     """
-    s = rows.shape[1]
-    coeffs, norms = [], []
-    for chunk in _stacks(rows, 16 * s * max(s, vectors.shape[1])):  # rows (s x D) or vh (s x s)
-        sub = vectors[chunk]
-        if not band:
-            coeff = np.zeros(chunk.shape, dtype=np.complex128)
-            coeff[:, 0] = 1.0
-        else:
-            blocks = sub[:, :, band.start:band.stop].transpose(0, 2, 1)
-            _, sv, vh = np.linalg.svd(blocks, full_matrices=True)
-            smax = sv[:, 0]
-            rank = np.where(smax > 0, np.sum(sv > _NULL_REL_TOL * smax[:, None], axis=1), 0)
-            lead = np.abs(vh[:, :, 0])
-            lead[np.arange(s) < rank[:, None]] = -1.0  # rows spanning the band's row space
-            v = np.conj(vh[np.arange(len(chunk)), lead.argmax(axis=1)])
-            re, im = v.real[:, None, :], v.imag[:, None, :]
-            sqnorm = (re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0]
-            coeff = v / np.sqrt(sqnorm)
-        coeffs.append(coeff)
-        norms.append(np.sum(np.abs((coeff[:, None, :] @ sub)[:, 0]) ** 2, axis=1))
-    return np.concatenate(coeffs), np.concatenate(norms)
+    sub = vectors[rows]
+    if not band:
+        coeff = np.zeros(len(rows), dtype=np.complex128)
+        coeff[0] = 1.0
+    else:
+        _, sv, vh = np.linalg.svd(sub[:, band.start:band.stop].T, full_matrices=True)
+        rank = int(np.sum(sv > _NULL_REL_TOL * sv[0])) if sv[0] > 0 else 0
+        null = np.conj(vh[rank:])
+        coeff = null[int(np.argmax(np.abs(null[:, 0])))]
+        coeff = coeff / np.linalg.norm(coeff)
+    return coeff, float(np.sum(np.abs(coeff @ sub) ** 2))
 
 
 def _check_block_structure(family: StackedDftFrame) -> None:
@@ -592,14 +575,14 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     parts the one holding the most is taken (ties to the lowest label).
     Those rows vanish on the earlier blocks' band columns, and a unit
     coefficient vector in the null space of their own band columns (n-1
-    constraints against >= n vectors), one `_block_witnesses` call on that
-    selection, combines them into a vector supported on the tail, of squared
-    norm at most delta_k. The witness with the smallest achieved norm over
-    k (ties to the first k) is returned.
+    constraints against >= n vectors), `_block_witness` on that selection,
+    combines them into a vector supported on the tail, of squared norm at
+    most delta_k. The witness with the smallest achieved norm over k (ties
+    to the first k) is returned.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("witness extraction needs a built family with layout metadata")
-    r, n = family.r, family.n
+    r, n, layout = family.r, family.n, family.layout
     if partition.num_parts != r or partition.size != family.count:
         raise ValueError(
             f"partition must split {family.count} indices into {r} parts, "
@@ -607,7 +590,7 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
         )
     best = None
     for k in range(1, r):
-        block = family.layout.block_rows(k)
+        block = layout.block_rows(k)
         members = [[i for i in p if i in block] for p in partition.parts]
         sizes = [len(rows) for rows in members]
         part = sizes.index(max(sizes))
@@ -615,11 +598,9 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
             raise InternalInconsistencyError(
                 f"pigeonhole failed for block {k}: largest intersection {sizes[part]} < {n}"
             )
-        coeff, achieved = _block_witnesses(
-            family.vectors, np.array([members[part]]), family.layout.band_columns(k)
-        )
-        if best is None or achieved[0] < best[0]:
-            best = (float(achieved[0]), k, part, members[part], coeff[0])
+        coeff, achieved = _block_witness(family.vectors, members[part], layout.band_columns(k))
+        if best is None or achieved < best[0]:
+            best = (achieved, k, part, members[part], coeff)
     achieved, k, part, rows, coeff = best
     if achieved > _witness_limit(family, k):
         raise InternalInconsistencyError(
@@ -713,13 +694,6 @@ class CertificationSummary:
         }
 
 
-def _stacks(draws: np.ndarray, item_bytes: int):
-    """Consecutive runs of `draws` whose stacks fit in _STACK_BYTES."""
-    step = max(1, _STACK_BYTES // item_bytes)
-    for start in range(0, len(draws), step):
-        yield draws[start:start + step]
-
-
 def _members(mask: np.ndarray) -> np.ndarray:
     """Sorted column indices of the True entries of each row of `mask`.
 
@@ -732,14 +706,16 @@ def _mask_bounds(G: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Riesz bound of the rows each row of `mask` selects, inf where it selects none.
 
     mask is a boolean (draws, M) array. Selections of equal size are
-    gathered into (B, s, s) stacks of principal submatrices and solved by
-    one eigvalsh call per stack, which gives each the bits
-    `riesz_lower_bound` computes for it.
+    gathered into (B, s, s) stacks of principal submatrices, each within
+    _STACK_BYTES, and solved by one eigvalsh call per stack, which gives
+    each the bits `riesz_lower_bound` computes for it.
     """
     bounds = np.full(mask.shape[0], np.inf)
     sizes = mask.sum(axis=1)
     for s in np.unique(sizes[sizes > 0]):
-        for chunk in _stacks(np.flatnonzero(sizes == s), 16 * s * s):
+        draws, step = np.flatnonzero(sizes == s), max(1, _STACK_BYTES // (16 * s * s))
+        for start in range(0, len(draws), step):
+            chunk = draws[start:start + step]
             idx = _members(mask[chunk])
             bounds[chunk] = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])[:, 0]
     return bounds

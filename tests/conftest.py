@@ -53,11 +53,11 @@ def perturbed_family():
 
     That is far above rounding for the block-structure check and far below
     the 1e-8 tightness rule, so the family still builds as a
-    StackedDftFrame, with the built schedule and layout.
+    StackedDftFrame.
     """
     from nonpaving import StackedDftFrame, build_nonpavable_general
 
     base = build_nonpavable_general(2, 3)
     vectors = np.array(base.vectors)
     vectors[0, -1] += 1e-10
-    return StackedDftFrame(vectors, base.r, base.n, base.schedule, base.layout)
+    return StackedDftFrame(vectors, base.layout)

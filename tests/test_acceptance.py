@@ -15,7 +15,6 @@ import numpy as np
 
 from nonpaving import (
     build_nonpavable_general,
-    build_nonpavable_r2,
     best_partition_riesz,
     certify_nonpavable,
     col_square_sums,
@@ -45,7 +44,7 @@ def test_criterion_1_two_block_construction_fidelity():
     start = time.perf_counter()
     worst_defect = worst_row = worst_col = 0.0
     for n in range(1, 17):
-        fam = build_nonpavable_r2(n)
+        fam = build_nonpavable_general(2, n)
         worst_defect = max(worst_defect, column_orthogonality_defect(fam.vectors))
         worst_row = max(worst_row, float(np.max(np.abs(row_square_sums(fam.vectors) - 1.0))))
         worst_col = max(worst_col, float(np.max(np.abs(col_square_sums(fam.vectors) - 2.0))))
@@ -118,7 +117,7 @@ def test_criterion_4_exhaustive_non_pavability():
     start = time.perf_counter()
     attained = {}
     for n in (2, 3):
-        _, value = best_partition_riesz(build_nonpavable_r2(n), 2)
+        _, value = best_partition_riesz(build_nonpavable_general(2, n), 2)
         attained[n] = value
     elapsed = time.perf_counter() - start
     ceilings_ok = attained[2] <= 2.0 / 3.0 + 1e-8 and attained[3] <= 0.5 + 1e-8
@@ -189,7 +188,7 @@ def test_criterion_5_witness_soundness():
 
 
 def test_criterion_6_duality_identity():
-    proj = projection_from_tight_frame(build_nonpavable_r2(3), 2.0)
+    proj = projection_from_tight_frame(build_nonpavable_general(2, 3), 2.0)
     rng = np.random.Generator(np.random.Philox(63))
     worst = 0.0
     for _ in range(500):
@@ -202,7 +201,7 @@ def test_criterion_6_duality_identity():
 
 
 def test_criterion_7_doubling():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     seed_max = float(np.max(np.abs(fam.vectors)))
     rng = np.random.Generator(np.random.Philox(77))
     coeffs = rng.standard_normal((100, 8)) + 1j * rng.standard_normal((100, 8))
@@ -245,7 +244,7 @@ def test_criterion_8_degenerate_n1_flagged_vacuous():
         P = gram(fam.vectors / math.sqrt(r))
         construction_ok &= float(np.max(np.abs(P @ P - P))) <= 1e-8
         construction_ok &= float(np.max(np.abs(np.diag(P).real - 1.0 / r))) <= 1e-10
-    exhaustive = certify_nonpavable(build_nonpavable_r2(1), "exhaustive")
+    exhaustive = certify_nonpavable(build_nonpavable_general(2, 1), "exhaustive")
     sampled = certify_nonpavable(
         build_nonpavable_general(3, 1), "sampled", count=100, seed=5
     )

@@ -336,6 +336,18 @@ def test_certify_exhaustive_over_budget_is_exit_4(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_certify_count_too_long_to_print_is_exit_4(tmp_path, capsys):
+    """8^4800 has more digits than Python prints; the refusal names it as a
+    power and is made before the count is formed."""
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "certify", "--r", "8", "--n", "75", "--out", str(out))
+    assert code == 4
+    assert err == (
+        "nonpaving: resource limit: 8^4800 assignments exceed the budget of 16777216\n"
+    )
+    assert not out.exists()
+
+
 def test_certify_refused_allocation_is_exit_4(tmp_path, capsys):
     """10**15 draws of 16 labels need 114 PiB, more than any address space
     holds, so the allocation is refused before anything is written."""
@@ -422,6 +434,18 @@ def test_double_entry_budget_is_exit_4(tmp_path, capsys):
     assert "resource limit" in err
 
 
+def test_double_count_too_long_to_print_is_exit_4(tmp_path, capsys):
+    """2^20000 copies in each direction: refused by the step count alone."""
+    code, _, err = run(capsys, "double", "--r", "2", "--n", "1", "--k", "20000",
+                       "--out", str(tmp_path / "big"))
+    assert code == 4
+    assert err == (
+        "nonpaving: resource limit: doubled family would hold 8*4^20000 entries, "
+        "over the budget of 16777216\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_double_rejects_negative_steps(tmp_path, capsys):
     code, _, _ = run(capsys, "double", "--r", "2", "--n", "2", "--k", "-1",
                      "--out", str(tmp_path / "x"))
@@ -454,6 +478,18 @@ def test_sweep_r3_best_column_blank_when_over_budget(capsys):
     assert lines[0] == "n,delta_1,delta_2,delta_3,best_min_part_riesz"
     for line in lines[1:]:
         assert line.endswith(",")  # 3^(9n) assignments never fit 2^16
+
+
+def test_sweep_huge_n_leaves_best_blank_without_forming_the_count():
+    """3^90000000 is never formed: the budget rule refuses it by bit length."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonpaving", "sweep", "--r", "3", "--n-list", "10000000"],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header == "n,delta_1,delta_2,delta_3,best_min_part_riesz"
+    assert row.startswith("10000000,") and row.endswith(",")
 
 
 def test_sweep_r3_delta1_values(capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +9,6 @@ from nonpaving import (
     ResourceLimitError,
     block_layout,
     build_nonpavable_general,
-    build_nonpavable_r2,
     col_square_sums,
     column_orthogonality_defect,
     delta_schedule,
@@ -22,10 +22,14 @@ from nonpaving import (
     row_square_sums,
     sidecar_dict,
     FrameFamily,
+    StackedDftFrame,
 )
 from nonpaving import constructions, frame_ops
+from nonpaving.cli import main
 
 from oracles import closed_form_r2, delta_fraction, partial_sum_fraction
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +160,7 @@ def test_layout_band_disappears_at_n1():
 # ---------------------------------------------------------------------------
 
 def test_r2_n2_shape_and_sums():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     assert fam.vectors.shape == (8, 4)
     npt.assert_allclose(row_square_sums(fam.vectors), np.ones(8), atol=1e-10)
     npt.assert_allclose(col_square_sums(fam.vectors), 2.0 * np.ones(4), atol=1e-10)
@@ -164,18 +168,10 @@ def test_r2_n2_shape_and_sums():
 
 
 def test_r2_n1_is_two_plain_dft_blocks():
-    fam = build_nonpavable_r2(1)
+    fam = build_nonpavable_general(2, 1)
     base = dft_matrix(2)
     npt.assert_array_equal(fam.vectors, np.vstack([base, base]))
     assert fam.vacuous
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_r2_special_case_equals_general_route(n):
-    """The closed-form two-block build and the general stack must agree bitwise."""
-    npt.assert_array_equal(
-        build_nonpavable_r2(n).vectors, build_nonpavable_general(2, n).vectors
-    )
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -239,10 +235,9 @@ def test_general_families_are_unit_norm_r_tight(r, n):
 
 
 def test_one_build_checks_its_schedule_and_tightness_once(monkeypatch, column_passes):
-    """One (3, 2) build makes one schedule (six delta evaluations: the
-    formula and its confirmation), validates (r, n) three times, and decides
-    tightness with one is_tight_frame call on one column product V^*V and
-    one eigensolve."""
+    """One (3, 2) build makes one schedule (three delta evaluations, one per
+    block), validates (r, n) once, and decides tightness with one
+    is_tight_frame call on one column product V^*V and one eigensolve."""
     calls = {}
 
     def counting(owner, name):
@@ -262,13 +257,20 @@ def test_one_build_checks_its_schedule_and_tightness_once(monkeypatch, column_pa
     fam = build_nonpavable_general(3, 2)
     assert calls == {
         "__post_init__": 1,
-        "_delta_value": 6,
-        "_validate_r_n": 3,
+        "_delta_value": 3,
+        "_validate_r_n": 1,
         "is_tight_frame": 1,
         "eigvalsh": 1,
     }
     assert column_passes == [(18, 6)]
     assert fam.layout.schedule is fam.schedule
+
+
+def test_stacked_frame_rejects_vectors_of_another_shape():
+    """The (2, 3) family's vectors do not fit the (2, 2) layout: the shape
+    check refuses them before the tightness rule runs."""
+    with pytest.raises(ValueError, match=r"expected shape \(8, 4\), got \(12, 6\)"):
+        StackedDftFrame(build_nonpavable_general(2, 3).vectors, block_layout(2, 2))
 
 
 def test_block_rows_span_each_block():
@@ -285,6 +287,14 @@ def test_sidecar_dict_round_trips_the_layout():
     assert side["deltas"] == [0.6, 0.9, 1.5]
     assert len(side["layout"]) == 3
     assert side["layout"][2]["band_width"] == 0
+
+
+def test_build_sidecar_bytes_unchanged(tmp_path, capsys):
+    """Recorded when the schedule and layout were stored fields; deriving
+    them from (r, n) must reproduce it."""
+    assert main(["build", "--r", "3", "--n", "2", "--out", str(tmp_path / "fam")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "fam.json").read_bytes() == (DATA / "sidecar_r3_n2.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +314,7 @@ def test_doubling_two_ones_exactly():
 
 
 def test_doubling_preserves_frame_bounds():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     before = frame_bounds(fam)
     after = frame_bounds(doubling_step(fam))
     assert abs(before[0] - after[0]) <= 1e-10
@@ -312,7 +322,7 @@ def test_doubling_preserves_frame_bounds():
 
 
 def test_doubling_shrinks_entries():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     out = doubling_step(fam)
     assert np.max(np.abs(out.vectors)) == pytest.approx(
         np.max(np.abs(fam.vectors)) / math.sqrt(2.0), abs=1e-15
@@ -320,7 +330,7 @@ def test_doubling_shrinks_entries():
 
 
 def test_doubled_family_zero_steps_is_input():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     assert doubled_family(fam, 0) is fam
 
 
@@ -334,32 +344,35 @@ def test_doubled_family_twice_on_two_ones():
 
 def test_doubled_family_rejects_negative_steps():
     with pytest.raises(ValueError):
-        doubled_family(build_nonpavable_r2(1), -1)
+        doubled_family(build_nonpavable_general(2, 1), -1)
 
 
 def test_doubled_family_respects_entry_budget():
-    fam = build_nonpavable_r2(2)  # 8 x 4
+    fam = build_nonpavable_general(2, 2)  # 8 x 4
     with pytest.raises(ResourceLimitError):
         doubled_family(fam, 10)  # 8192 x 4096 = 2^25 entries
     # one step below the default budget is fine
     doubled_family(fam, 9, entry_budget=1 << 23)
+    # a numpy integer budget takes the same rule
+    with pytest.raises(ResourceLimitError, match=r"32\*4\^10 entries"):
+        doubled_family(fam, 10, entry_budget=np.int64(1 << 24))
 
 
 def test_gram_block_residual_small():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     out = doubled_family(fam, 3)
     assert gram_block_residual(out, fam) <= 1e-12
 
 
 def test_gram_block_residual_detects_damage():
-    fam = build_nonpavable_r2(1)
+    fam = build_nonpavable_general(2, 1)
     out = doubled_family(fam, 1)
     damaged = FrameFamily(out.vectors + 0.01)
     assert gram_block_residual(damaged, fam) > 1e-3
 
 
 def test_restriction_identity_on_random_coefficients():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     out = doubled_family(fam, 3)
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=(100, 8)) + 1j * rng.normal(size=(100, 8))
@@ -367,7 +380,7 @@ def test_restriction_identity_on_random_coefficients():
 
 
 def test_restriction_identity_rejects_bad_width():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     out = doubled_family(fam, 1)
     with pytest.raises(ValueError):
         restriction_identity_residual(out, fam, np.ones((1, 5)))

@@ -10,7 +10,6 @@ from nonpaving import (
     ProjectionMatrix,
     StackedDftFrame,
     build_nonpavable_general,
-    build_nonpavable_r2,
     complement_duality_check,
     dft_matrix,
     frame_bounds,
@@ -58,7 +57,7 @@ def test_bounds_of_built_families(r, n):
 
 def test_frame_operator_shares_nonzero_spectrum_with_gram():
     """The M x M Gram and the d x d frame operator agree off zero."""
-    fam = build_nonpavable_r2(2)  # M = 8, d = 4
+    fam = build_nonpavable_general(2, 2)  # M = 8, d = 4
     gram_eigs = jacobi_hermitian_eigenvalues(gram(fam.vectors))
     nonzero = sorted(x for x in gram_eigs if abs(x) > 1e-8)
     lo, hi = frame_bounds(fam)
@@ -76,7 +75,7 @@ def test_non_tight_stacked_family_is_rejected():
     vectors = np.array(fam.vectors)
     vectors[0] *= 1.01
     with pytest.raises(ValueError, match="not 2.0-tight"):
-        StackedDftFrame(vectors, 2, 2, fam.schedule, fam.layout)
+        StackedDftFrame(vectors, fam.layout)
 
 
 def test_vectors_are_read_only():
@@ -158,7 +157,7 @@ def test_projection_of_two_ones():
 
 
 def test_projection_of_r2_family():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     proj = projection_from_tight_frame(fam, 2.0)
     assert proj.matrix.shape == (8, 8)
     assert proj.rank == 4
@@ -241,7 +240,7 @@ def test_duality_rejects_duplicates():
 
 
 def test_duality_sums_to_one_on_random_subsets():
-    proj = projection_from_tight_frame(build_nonpavable_r2(3), 2.0)
+    proj = projection_from_tight_frame(build_nonpavable_general(2, 3), 2.0)
     rng = np.random.default_rng(42)
     dim = proj.dim
     for _ in range(50):

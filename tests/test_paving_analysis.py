@@ -17,7 +17,6 @@ from nonpaving import (
     Witness,
     best_partition_riesz,
     build_nonpavable_general,
-    build_nonpavable_r2,
     certify_nonpavable,
     gram,
     partition_from_assignment,
@@ -69,7 +68,7 @@ def test_partition_from_assignment_rejects_bad_label():
     [
         lambda: partition_from_assignment([0.9, 1.5, 0, 0, 1, 1, 1, 1], 2),
         lambda: Partition(((0.5, 1), (2,))),
-        lambda: riesz_lower_bound(build_nonpavable_r2(1), [0.2, 1.9]),
+        lambda: riesz_lower_bound(build_nonpavable_general(2, 1), [0.2, 1.9]),
         lambda: certify_nonpavable(build_nonpavable_general(3, 2), "sampled", count=2.7),
         lambda: ProjectionMatrix(np.diag([1.0, 1.0, 0.0]).astype(complex), 2.9),
         lambda: partition_from_assignment([True, False], 2),
@@ -87,7 +86,7 @@ def test_numpy_integers_are_accepted():
     labels = np.array([1, 0, 1], dtype=np.int32)
     assert partition_from_assignment(labels, np.int64(2)).parts == ((1,), (0, 2))
     assert Partition(((np.int64(1), 0),)).parts == ((0, 1),)
-    fam = build_nonpavable_r2(1)
+    fam = build_nonpavable_general(2, 1)
     assert riesz_lower_bound(fam, np.array([0, 1])) == riesz_lower_bound(fam, [0, 1])
     summary = certify_nonpavable(build_nonpavable_general(3, 2), "sampled", count=np.int64(3))
     assert summary.count == 3 and type(summary.count) is int
@@ -116,7 +115,7 @@ def test_riesz_bound_rejects_empty_subset():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_riesz_bound_collapses_on_top_block_rows(n):
     """Any n rows of the first block admit a small combination: <= 2/(n+1)."""
-    fam = build_nonpavable_r2(n)
+    fam = build_nonpavable_general(2, n)
     assert riesz_lower_bound(fam, range(n)) <= 2.0 / (n + 1) + 1e-12
 
 
@@ -132,20 +131,22 @@ def test_best_partition_of_orthonormal_rows():
 
 
 def test_best_partition_of_r2_family_stays_small():
-    _, value = best_partition_riesz(build_nonpavable_r2(2), 2)
+    _, value = best_partition_riesz(build_nonpavable_general(2, 2), 2)
     assert value <= 2.0 / 3.0 + 1e-8
 
 
 def test_best_partition_respects_budget():
     with pytest.raises(ResourceLimitError):
-        best_partition_riesz(build_nonpavable_r2(2), 2, budget=10)
+        best_partition_riesz(build_nonpavable_general(2, 2), 2, budget=10)
     # 3^18 assignments for (3, 2): refused before any part bound is computed
     with pytest.raises(ResourceLimitError, match="1000"):
         best_partition_riesz(build_nonpavable_general(3, 2), 3, budget=1000)
+    with pytest.raises(ResourceLimitError, match=r"^2\^8 assignments exceed the budget of 10$"):
+        best_partition_riesz(build_nonpavable_general(2, 2), 2, budget=np.int64(10))
     with pytest.raises(ValueError):
-        best_partition_riesz(build_nonpavable_r2(1), 0)
+        best_partition_riesz(build_nonpavable_general(2, 1), 0)
     with pytest.raises(ValueError):
-        best_partition_riesz(build_nonpavable_r2(1), 2, budget=0)
+        best_partition_riesz(build_nonpavable_general(2, 1), 2, budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,7 @@ def lopsided_partition(fam):
 
 
 def test_witness_on_lopsided_partition():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     wit = witness_coefficients(fam, lopsided_partition(fam))
     assert wit.k == 1
     assert wit.part == 0
@@ -169,7 +170,7 @@ def test_witness_on_lopsided_partition():
 
 
 def test_witness_annihilates_the_band_and_recomputes():
-    fam = build_nonpavable_r2(3)
+    fam = build_nonpavable_general(2, 3)
     wit = witness_coefficients(fam, lopsided_partition(fam))
     rows = fam.vectors[list(wit.indices), :]
     band = list(fam.layout.band_columns(wit.k))
@@ -184,7 +185,7 @@ def test_witness_norm_chain_for_two_blocks():
     """achieved = (2/(n+1)) * squared norm of the off-band part of the
     unweighted combination, because the witness kills the band exactly."""
     n = 3
-    fam = build_nonpavable_r2(n)
+    fam = build_nonpavable_general(2, n)
     wit = witness_coefficients(fam, lopsided_partition(fam))
     from nonpaving import dft_matrix
 
@@ -206,13 +207,13 @@ def test_witness_on_random_partitions_r3():
 
 
 def test_witness_vacuous_family():
-    fam = build_nonpavable_r2(1)
+    fam = build_nonpavable_general(2, 1)
     wit = witness_coefficients(fam, lopsided_partition(fam))
     assert wit.achieved_norm_sq <= 1.0 + 1e-8
 
 
 def test_witness_rejects_wrong_partition_shape():
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     with pytest.raises(ValueError):
         witness_coefficients(fam, partition_from_assignment([0] * 7, 2))
     with pytest.raises(ValueError):
@@ -228,7 +229,7 @@ def test_witness_rejects_plain_family():
 def test_witness_dominates_part_bound_everywhere():
     """The witness uses particular coefficients, so it can never beat the
     part's optimal bound; checked over every 2-part split of the (2,2) family."""
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     G = gram(fam.vectors)
     for labels in itertools.product(range(2), repeat=fam.count):
         partition = partition_from_assignment(labels, 2)
@@ -240,7 +241,7 @@ def test_witness_dominates_part_bound_everywhere():
 
 def oracle_cases():
     """Every partition of (2, 2), then 200 seeded ones each of (3, 2), (4, 2), (2, 4)."""
-    fam = build_nonpavable_r2(2)
+    fam = build_nonpavable_general(2, 2)
     for labels in itertools.product(range(2), repeat=fam.count):
         yield fam, list(labels)
     for seed, (r, n) in enumerate([(3, 2), (4, 2), (2, 4)]):
@@ -318,7 +319,7 @@ def test_certificate_rejects_witness_below_part_bound():
 # ---------------------------------------------------------------------------
 
 def test_exhaustive_certification_r2_n2():
-    summary = certify_nonpavable(build_nonpavable_r2(2), "exhaustive")
+    summary = certify_nonpavable(build_nonpavable_general(2, 2), "exhaustive")
     assert summary.partitions_checked == 256
     assert summary.worst_min_part_bound <= 2.0 / 3.0 + 1e-8
     assert summary.mode == "exhaustive"
@@ -344,14 +345,14 @@ def test_sampled_certification_is_deterministic():
 
 
 def test_certification_flags_vacuous_family():
-    summary = certify_nonpavable(build_nonpavable_r2(1), "exhaustive")
+    summary = certify_nonpavable(build_nonpavable_general(2, 1), "exhaustive")
     assert summary.vacuous
     assert summary.deltas == (1.0, 1.0)
     assert summary.to_json_dict()["vacuous"] is True
 
 
 def test_certification_mode_validation():
-    fam = build_nonpavable_r2(1)
+    fam = build_nonpavable_general(2, 1)
     with pytest.raises(ValueError):
         certify_nonpavable(fam, "exhaustive", count=5)
     with pytest.raises(ValueError):
@@ -379,7 +380,7 @@ def test_budget_is_checked_before_the_gram(monkeypatch):
 
 
 def test_certification_json_shape():
-    summary = certify_nonpavable(build_nonpavable_r2(2), "sampled", count=50, seed=3)
+    summary = certify_nonpavable(build_nonpavable_general(2, 2), "sampled", count=50, seed=3)
     d = summary.to_json_dict()
     assert d["family"] == {"r": 2, "n": 2}
     assert d["passed"] is True

@@ -86,7 +86,7 @@ def permuted_rows_family(r, n):
     family = build_nonpavable_general(r, n)
     order = np.arange(family.count)
     order[[1, 2]] = order[[2, 1]]
-    return StackedDftFrame(family.vectors[order], r, n, family.schedule, family.layout)
+    return StackedDftFrame(family.vectors[order], family.layout)
 
 
 def test_gram_defect_falls_back_to_the_trivial_group():

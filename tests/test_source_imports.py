@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-top-level private helper is used somewhere in the package, and the column
-product V^*V and the bound-failure message are each written once.
+top-level private helper is used somewhere in the package, the column
+product V^*V and the bound-failure message are each written once, and a
+budget refusal is written only in the two budget checks.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -109,3 +110,16 @@ def test_bound_failure_message_is_written_once():
     sites = [p.name for p in SRC.glob("*.py")
              for _ in message.finditer(p.read_text(encoding="utf-8"))]
     assert sites == ["paving_analysis.py"]
+
+
+def test_budget_refusals_are_written_twice():
+    """Only the assignment budget and the entry budget refuse work: no command
+    re-derives a budget rule of its own."""
+    sites = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Raise)
+                          and ast.unparse(node).startswith("raise ResourceLimitError")]
+    assert sorted(sites) == ["_check_assignment_budget", "doubled_family"]
