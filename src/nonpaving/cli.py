@@ -249,6 +249,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    if args.mode == "exhaustive":  # refuse before the r^2 n x rn family is built
+        _check_assignment_budget(args.r * args.r * args.n, args.r, args.budget)
     family = build_nonpavable_general(args.r, args.n)
     summary = certify_nonpavable(
         family, args.mode, count=args.count, seed=args.seed, budget=args.budget

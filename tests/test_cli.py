@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,8 @@ from nonpaving import (
     write_matrix_csv,
 )
 from nonpaving.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -154,6 +157,17 @@ def test_verify_oversized_header_is_exit_2(tmp_path, capsys, cols):
     assert code == 2
     assert out == ""
     assert f"row 0 has 1 entries, expected {cols}" in err
+
+
+def test_verify_underscored_header_is_exit_2(tmp_path, capsys):
+    """int('1_0') is 10, so ten unit rows would read as a tight 10 x 1 frame."""
+    path = tmp_path / "under.csv"
+    path.write_text("# 1_0 1\n" + "1+0j\n" * 10)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("nonpaving: parse error:")
+    assert "non-integer dimensions in header" in err
 
 
 def test_verify_non_utf8_file_is_exit_2(tmp_path, capsys):
@@ -348,6 +362,23 @@ def test_certify_count_too_long_to_print_is_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_certify_exhaustive_refuses_before_building(tmp_path, capsys, monkeypatch):
+    """The r^(r^2 n) budget is checked before the r^2 n x rn family exists."""
+    import nonpaving.cli as cli
+
+    def never(r, n):
+        raise AssertionError("family built before the budget check")
+
+    monkeypatch.setattr(cli, "build_nonpavable_general", never)
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "certify", "--r", "8", "--n", "75", "--out", str(out))
+    assert code == 4
+    assert err == (
+        "nonpaving: resource limit: 8^4800 assignments exceed the budget of 16777216\n"
+    )
+    assert not out.exists()
+
+
 def test_certify_refused_allocation_is_exit_4(tmp_path, capsys):
     """10**15 draws of 16 labels need 114 PiB, more than any address space
     holds, so the allocation is refused before anything is written."""
@@ -390,6 +421,21 @@ def test_certify_internal_check_failure_is_exit_3(tmp_path, capsys, monkeypatch,
         assert code == 3
         assert err.startswith("nonpaving: internal check failed: block 1 rows differ ")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,csv_pin,json_pin", [
+    (["build", "--r", "3", "--n", "2"], "build_r3_n2.csv", "sidecar_r3_n2.json"),
+    (["double", "--r", "2", "--n", "2", "--k", "3", "--seed", "0"],
+     "double_r2_n2_k3.csv", "double_r2_n2_k3.json"),
+], ids=["build-r3-n2", "double-r2-n2-k3"])
+def test_matrix_file_bytes_unchanged(tmp_path, capsys, argv, csv_pin, json_pin):
+    """The matrix CSV and its JSON companion, byte for byte, as recorded
+    before the writer deduplicated entries by their 64-bit halves."""
+    prefix = tmp_path / "out"
+    code, _, _ = run(capsys, *argv, "--out", str(prefix))
+    assert code == 0
+    assert (tmp_path / "out.csv").read_bytes() == (DATA / csv_pin).read_bytes()
+    assert (tmp_path / "out.json").read_bytes() == (DATA / json_pin).read_bytes()
 
 
 # ---------------------------------------------------------------------------

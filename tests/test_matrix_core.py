@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -133,6 +134,44 @@ def test_gram_positive_semidefinite_on_random_input():
         assert hermitian_extremal_eig(gram(f), "min") >= -1e-10
 
 
+def _random_40x7():
+    rng = np.random.default_rng(40)
+    return rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_nonpavable_general(2, 3).vectors,
+    lambda: build_nonpavable_general(3, 2).vectors,
+    lambda: build_nonpavable_general(8, 16).vectors / math.sqrt(8),
+    _random_40x7,
+], ids=["build-r2-n3", "build-r3-n2", "build-r8-n16-over-sqrt8", "random-40x7"])
+def test_gram_bits_equal_two_sided_hermitization(make):
+    f = make()
+    g = f @ f.conj().T
+    expected = 0.5 * (g + g.conj().T)
+    out = gram(f)
+    assert out.tobytes() == expected.tobytes()
+    assert out.flags.c_contiguous
+    assert not out.flags.writeable
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gram_peak_memory_is_near_its_output():
+    """G and one Hermitized buffer beside it: about 2.1 output sizes, where
+    0.5 * (G + G^*) held about 3.1."""
+    f = build_nonpavable_general(8, 16).vectors
+    out_bytes = gram(f).nbytes
+    assert _traced_peak(lambda: gram(f)) <= 2.5 * out_bytes
+
+
 # ---------------------------------------------------------------------------
 # hermitian_extremal_eig
 # ---------------------------------------------------------------------------
@@ -243,6 +282,21 @@ def test_csv_rejects_malformed_header(tmp_path):
         read_matrix_csv(path)
 
 
+@pytest.mark.parametrize("head", ["1_0 1", "+2 1", "\u0663 1", "1 1_0", "-1 1"])
+def test_csv_rejects_dimensions_other_than_ascii_digits(tmp_path, head):
+    """int() takes '1_0', '+2' and Arabic-Indic digits; the header does not."""
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# {head}\n" + "1+0j\n" * 10, encoding="utf-8")
+    with pytest.raises(MatrixParseError, match="non-integer dimensions in header"):
+        read_matrix_csv(path)
+
+
+def test_csv_header_allows_surrounding_space(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("#  2   1 \n1+0j\n0-1j\n")
+    npt.assert_array_equal(read_matrix_csv(path), [[1 + 0j], [-1j]])
+
+
 def test_csv_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# 2 2\n1+0j,1+0j\n1+0j\n")
@@ -322,6 +376,24 @@ def test_csv_write_formats_each_distinct_entry_once(tmp_path, monkeypatch, make,
     write_matrix_csv(matrix, tmp_path / "m.csv")
     assert len(calls) == distinct
     assert read_matrix_csv(tmp_path / "m.csv").tobytes() == matrix.tobytes()
+
+
+def test_csv_write_of_a_transposed_view_matches_its_copy(tmp_path):
+    a = _random_40x7()
+    a[3, 2] = -0.0 + 5e-324j
+    view = a.T
+    assert not view.flags.c_contiguous
+    write_matrix_csv(view, tmp_path / "view.csv")
+    write_matrix_csv(np.ascontiguousarray(view), tmp_path / "copy.csv")
+    assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
+
+
+def test_csv_write_peak_memory_is_a_few_matrix_sizes(tmp_path):
+    """The validated copy, one sorted copy of the halves and the int64 slot
+    arrays: about 2.5 matrix sizes, where a 16-byte-record unique held 4.6."""
+    matrix = doubled_family(build_nonpavable_general(2, 4), 6).vectors
+    peak = _traced_peak(lambda: write_matrix_csv(matrix, tmp_path / "m.csv"))
+    assert peak <= 3.5 * matrix.nbytes
 
 
 def test_csv_write_formats_before_opening(tmp_path, monkeypatch):
