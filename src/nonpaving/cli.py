@@ -152,7 +152,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-list", type=_n_list, required=True,
                    help="comma-separated n values, e.g. 1,2,3,4 (may be empty)")
     # Sweeps are meant to be interactive: the exact best-value column is only
-    # filled for sizes whose full enumeration stays under this budget.
+    # filled for sizes whose r^M labeled partitions, all covered by the
+    # symmetry-reduced search, number at most this budget.
     p.add_argument("--budget", type=budget_type, default=1 << 16,
                    help="max assignments for the exact best-value column")
     p.add_argument("--out", help="write the CSV table here instead of stdout")

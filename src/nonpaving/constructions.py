@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .frame_ops import FrameFamily, _require_tight
-from .matrix_core import _as_int, dft_matrix, gram, scale_columns
+from .matrix_core import _as_int, _require_indexable, dft_matrix, gram, scale_columns
 
 __all__ = [
     "DEFAULT_ENTRY_BUDGET",
@@ -232,6 +232,7 @@ def build_nonpavable_general(r: int, n: int) -> StackedDftFrame:
     Returns a unit-norm r-tight family of r^2*n vectors in dimension r*n.
     """
     layout = block_layout(r, n)
+    _require_indexable((r * r * n, r * n), 16)
     base = dft_matrix(r * n)
     stack = np.vstack([scale_columns(base, layout.column_weights(k)) for k in range(1, r + 1)])
     return StackedDftFrame(stack, layout)

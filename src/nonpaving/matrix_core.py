@@ -80,6 +80,17 @@ def _as_int(value, what: str) -> int:
     return int(value)
 
 
+def _require_indexable(shape: tuple[int, ...], itemsize: int) -> None:
+    """MemoryError if numpy could not index an array of this shape and item
+    size: past intp it raises ValueError ("Maximum allowed size exceeded")
+    where a smaller allocation it cannot make raises MemoryError."""
+    if math.prod(shape) * itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"a {' x '.join(map(str, shape))} array of {itemsize}-byte entries "
+            "is past numpy's index range"
+        )
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary n x n DFT matrix with entry (j, k) = omega^(jk) / sqrt(n).
 
@@ -231,17 +242,18 @@ def write_matrix_csv(a, path) -> None:
 
 
 class _TokenSlots(dict):
-    """Stripped token text -> slot in `values`; a new token is parsed on lookup.
+    """Stripped token bytes -> slot in `values`; a new token is parsed on lookup.
 
-    `complex()` and the finiteness check run once per distinct token; either
-    failing raises ValueError, and the caller locates the first bad entry."""
+    ASCII decoding, `complex()` and the finiteness check run once per
+    distinct token; any of them failing raises ValueError, and the caller
+    locates the first bad entry."""
 
     def __init__(self):
         super().__init__()
         self.values: list[complex] = []
 
-    def __missing__(self, tok: str) -> int:
-        z = complex(tok)
+    def __missing__(self, tok: bytes) -> int:
+        z = complex(tok.decode("ascii"))
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ValueError(f"non-finite entry {tok!r}")
         slot = self[tok] = len(self.values)
@@ -249,14 +261,14 @@ class _TokenSlots(dict):
         return slot
 
 
-def _first_bad_entry(path, body: list[str]) -> MatrixParseError:
+def _first_bad_entry(path, body: list[bytes]) -> MatrixParseError:
     """The error for the first unparseable or non-finite entry in row-major order."""
     for i, line in enumerate(body):
-        for j, tok in enumerate(t.strip() for t in line.split(",")):
+        for j, tok in enumerate(t.strip() for t in line.split(b",")):
             try:
-                z = complex(tok)
+                z = complex(tok.decode("ascii"))
             except ValueError:
-                return MatrixParseError(f"{path}: bad entry {tok!r} at ({i}, {j})")
+                return MatrixParseError(f"{path}: bad entry {tok.decode()!r} at ({i}, {j})")
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
                 return MatrixParseError(f"{path}: non-finite entry at ({i}, {j})")
     raise AssertionError("every entry parses")
@@ -267,25 +279,30 @@ def read_matrix_csv(path) -> np.ndarray:
 
     Raises MatrixParseError on any structural problem: text that is not
     UTF-8, missing or malformed header (dimensions other than ASCII decimal
-    digits included), wrong row/column counts, unparseable
+    digits included), wrong row/column counts, unparseable, non-ASCII
     or non-finite entries, or a row or column whose square sum overflows.
+    The bytes are split, not the decoded text, whose splitlines() and
+    split() also break at U+2028 and U+2003: lines end at "\n" (a "\r"
+    before it is stripped) and header fields are apart by ASCII whitespace.
     Header and row widths are checked before anything is allocated. Each
     distinct token is parsed once and the entries are gathered from those
     values; when a token fails, the entries are walked in row-major order
     so the error names the first bad one as (i, j).
     """
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    lines = [ln.strip() for ln in data.split(b"\n") if ln.strip()]
+    if not lines or not lines[0].startswith(b"#"):
         raise MatrixParseError(f"{path}: missing '# rows cols' header")
     head = lines[0][1:].split()
     if len(head) != 2:
         raise MatrixParseError(f"{path}: header must be '# rows cols'")
-    # ASCII decimal digits only: int() would also take '1_0', '+2' and '٣'.
-    if not all(h.isascii() and h.isdigit() for h in head):
+    # bytes.isdigit() takes ASCII decimal digits only: int() would also
+    # take '1_0', '+2' and '٣'.
+    if not all(h.isdigit() for h in head):
         raise MatrixParseError(f"{path}: non-integer dimensions in header")
     rows, cols = int(head[0]), int(head[1])
     if rows < 1 or cols < 1:
@@ -295,12 +312,12 @@ def read_matrix_csv(path) -> np.ndarray:
         raise MatrixParseError(f"{path}: expected {rows} rows, found {len(body)}")
     # Row widths are checked first: the header alone never sizes an allocation.
     for i, line in enumerate(body):
-        if line.count(",") + 1 != cols:
+        if line.count(b",") + 1 != cols:
             raise MatrixParseError(
-                f"{path}: row {i} has {line.count(',') + 1} entries, expected {cols}"
+                f"{path}: row {i} has {line.count(b',') + 1} entries, expected {cols}"
             )
     slots = _TokenSlots()
-    tokens = map(str.strip, chain.from_iterable(line.split(",") for line in body))
+    tokens = map(bytes.strip, chain.from_iterable(line.split(b",") for line in body))
     try:
         index = np.fromiter(map(slots.__getitem__, tokens), dtype=np.intp, count=rows * cols)
     except ValueError:

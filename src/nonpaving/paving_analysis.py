@@ -41,7 +41,7 @@ import numpy as np
 from .constructions import StackedDftFrame
 from .errors import CertificationError, InternalInconsistencyError, ResourceLimitError
 from .frame_ops import FrameFamily, _validate_subset
-from .matrix_core import _as_int, dft_matrix, gram
+from .matrix_core import _as_int, _require_indexable, dft_matrix, gram
 
 __all__ = [
     "DEFAULT_ASSIGNMENT_BUDGET",
@@ -115,6 +115,7 @@ class Partition:
 
 def partition_from_assignment(labels, num_parts: int) -> Partition:
     """Partition from a label sequence: index i goes to part labels[i]."""
+    num_parts = _as_int(num_parts, "num_parts")
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     buckets: list[list[int]] = [[] for _ in range(num_parts)]
@@ -134,10 +135,12 @@ def _bound_failure(labels, num_parts: int, value: float, threshold: float) -> Ce
     )
 
 
-def _check_assignment_budget(size: int, num_parts: int, budget: int) -> int:
-    """Validate the walk's arguments; return num_parts**size if within budget."""
+def _check_assignment_budget(size: int, num_parts: int, budget: int) -> None:
+    """Validate the walk's arguments; ResourceLimitError unless num_parts**size
+    is within budget."""
     if size < 1:
         raise ValueError("size must be >= 1")
+    num_parts = _as_int(num_parts, "num_parts")
     if num_parts < 1:
         raise ValueError("num_parts must be >= 1")
     budget = _as_int(budget, "budget")
@@ -148,7 +151,6 @@ def _check_assignment_budget(size: int, num_parts: int, budget: int) -> int:
         raise ResourceLimitError(
             f"{num_parts}^{size} assignments exceed the budget of {budget}"
         )
-    return num_parts**size
 
 
 def _eig_min(H: np.ndarray) -> float:
@@ -188,13 +190,23 @@ def _prune_margin(G: np.ndarray) -> float:
     return 2.0 * 4.0 * size * size * _EPS * float(np.linalg.norm(G))
 
 
+def _bound_slots(bounds) -> tuple:
+    """Part bounds as a tuple of floats, None for an empty part (inf)."""
+    return tuple(None if b == math.inf else float(b) for b in bounds)
+
+
+def _min_part_bound(result) -> float:
+    """The smallest bound among nonempty parts: min of the non-None part_bounds."""
+    return min(b for b in result.part_bounds if b is not None)
+
+
 @dataclass(frozen=True, eq=False)
 class _SearchResult:
     """Outcome of `_partition_search` with the work it took.
 
-    partition is the first maximizer in lexicographic label order,
-    part_bounds its per-part bounds (None for empty parts) and value their
-    minimum, all exactly as `riesz_lower_bound` computes them; nodes counts the
+    partition is the first maximizer in lexicographic label order and
+    part_bounds its per-part bounds (None for empty parts), exactly as
+    `riesz_lower_bound` computes them, and value their minimum; nodes counts the
     label prefixes examined (one eigensolve each), rejected the prefixes the
     symmetry test dropped before any eigensolve, and eigensolves every part
     bound computed, the incumbent's and the orbit re-evaluation's included.
@@ -202,10 +214,11 @@ class _SearchResult:
 
     partition: Partition
     part_bounds: tuple
-    value: float
     nodes: int
     eigensolves: int
     rejected: int
+
+    value = property(_min_part_bound)
 
 
 def _row_group(G: np.ndarray, block: int, margin: float) -> tuple[list[tuple[int, ...]], float]:
@@ -410,15 +423,9 @@ def _partition_search(
     if failed:
         labels, _, value = min(failed, key=lambda leaf: leaf[0])
         raise _bound_failure(labels, num_parts, value, threshold)
-    labels, values, value = min(pool, key=lambda leaf: (-leaf[2], leaf[0]))
-    return _SearchResult(
-        partition_from_assignment(labels, num_parts),
-        tuple(None if v == math.inf else v for v in values),
-        value,
-        nodes,
-        nodes + solved,
-        rejected,
-    )
+    labels, values, _ = min(pool, key=lambda leaf: (-leaf[2], leaf[0]))
+    partition = partition_from_assignment(labels, num_parts)
+    return _SearchResult(partition, _bound_slots(values), nodes, nodes + solved, rejected)
 
 
 def best_partition_riesz(
@@ -613,38 +620,44 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
 class RieszCertificate:
     """Per-part Riesz bounds for one partition, with an optional witness.
 
-    part_bounds aligns with partition.parts (None for empty parts);
-    min_part_bound is the smallest bound among nonempty parts. When a
-    witness is attached, its achieved norm must dominate the bound of the
-    part it lives in (the bound is a minimum over all unit coefficient
-    vectors on the part, the witness uses particular ones).
+    part_bounds aligns with partition.parts, None exactly for the empty
+    parts, and min_part_bound, derived from it, is the smallest bound among
+    nonempty parts. When a witness is attached, its rows must lie in its
+    part and its achieved norm must dominate that part's bound (the bound is
+    a minimum over all unit coefficient vectors on the part, the witness
+    uses particular ones).
     """
 
     partition: Partition
     part_bounds: tuple
-    min_part_bound: float
     witness: Witness | None = None
+
+    min_part_bound = property(_min_part_bound)
 
     def __post_init__(self):
         if len(self.part_bounds) != self.partition.num_parts:
             raise ValueError("need one bound slot per part")
         object.__setattr__(self, "part_bounds", tuple(self.part_bounds))
+        for label, (part, bound) in enumerate(zip(self.partition.parts, self.part_bounds)):
+            if (bound is None) == bool(part):
+                raise ValueError(
+                    f"part {label} has {len(part)} rows and bound {bound!r}: "
+                    "a slot is None exactly when its part is empty"
+                )
         finite = [b for b in self.part_bounds if b is not None]
         if not finite:
             raise ValueError("certificate needs at least one nonempty part")
-        if not all(map(math.isfinite, finite + [self.min_part_bound])):
-            raise ValueError("part bounds and min_part_bound must be finite")
-        if abs(min(finite) - self.min_part_bound) > 1e-12:
-            raise ValueError("min_part_bound does not match part_bounds")
+        if not all(map(math.isfinite, finite)):
+            raise ValueError("part bounds must be finite")
         if self.witness is not None:
             if not self.witness.part < self.partition.num_parts:
                 raise ValueError(
                     f"witness part {self.witness.part} out of range for "
                     f"{self.partition.num_parts} parts"
                 )
+            if not set(self.witness.indices) <= set(self.partition.parts[self.witness.part]):
+                raise ValueError(f"witness indices are not all in part {self.witness.part}")
             anchor = self.part_bounds[self.witness.part]
-            if anchor is None:
-                raise ValueError("witness points at an empty part")
             if self.witness.achieved_norm_sq < anchor - 1e-10:
                 raise InternalInconsistencyError(
                     f"witness achieved {self.witness.achieved_norm_sq} below the "
@@ -654,18 +667,35 @@ class RieszCertificate:
 
 @dataclass(frozen=True, eq=False)
 class CertificationSummary:
-    """Outcome of certifying a family over many partitions."""
+    """Outcome of certifying a family over many partitions.
 
-    r: int
-    n: int
+    Only how the partitions were chosen (mode, count and seed: None for
+    exhaustive) and the certificate are stored; the rest is derived from
+    them and from the family.
+    """
+
+    family: StackedDftFrame
     mode: str
     count: int | None
     seed: int | None
-    partitions_checked: int
-    worst_min_part_bound: float
-    deltas: tuple[float, ...]
-    vacuous: bool
     certificate: RieszCertificate
+
+    @property
+    def partitions_checked(self) -> int:
+        """count when sampled, r^M (every labeled partition) when exhaustive."""
+        return self.count if self.mode == "sampled" else self.family.r ** self.family.count
+
+    @property
+    def worst_min_part_bound(self) -> float:
+        return self.certificate.min_part_bound
+
+    @property
+    def deltas(self) -> tuple[float, ...]:
+        return self.family.schedule.deltas
+
+    @property
+    def vacuous(self) -> bool:
+        return self.family.vacuous
 
     def to_json_dict(self) -> dict:
         wit = self.certificate.witness
@@ -679,7 +709,7 @@ class CertificationSummary:
                 "achieved": wit.achieved_norm_sq,
             }
         return {
-            "family": {"r": self.r, "n": self.n},
+            "family": {"r": self.family.r, "n": self.family.n},
             "mode": self.mode,
             "count": self.count,
             "seed": self.seed,
@@ -807,14 +837,15 @@ def certify_nonpavable(
         if count is not None:
             raise ValueError("count applies only to sampled mode")
         seed = None
-        checked = _check_assignment_budget(family.count, r, budget)
+        _check_assignment_budget(family.count, r, budget)
         res = _partition_search(gram(family.vectors), r, threshold=threshold, family=family)
-        worst_partition, worst_bounds, worst_value = res.partition, res.part_bounds, res.value
+        partition, part_bounds = res.partition, res.part_bounds
     elif mode == "sampled":
         count = 0 if count is None else _as_int(count, "count")
         if count < 1:
             raise ValueError("sampled mode needs count >= 1")
         seed = 0 if seed is None else _as_int(seed, "seed")
+        _require_indexable((count, family.count), 8)
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))
         labels = rng.integers(0, r, size=(count, family.count))
@@ -823,30 +854,12 @@ def certify_nonpavable(
         if failed.any():
             first = failed.argmax()
             raise _bound_failure(labels[first], r, float(values[first]), threshold)
-        checked = count
         worst = int(values.argmax())
-        worst_partition = partition_from_assignment(labels[worst], r)
-        worst_bounds = [None if b == np.inf else float(b) for b in bounds[worst]]
-        worst_value = values[worst]
+        partition = partition_from_assignment(labels[worst], r)
+        part_bounds = _bound_slots(bounds[worst])
     else:
         raise ValueError(f'mode must be "exhaustive" or "sampled", got {mode!r}')
 
     _check_block_structure(family)
-    certificate = RieszCertificate(
-        worst_partition,
-        tuple(worst_bounds),
-        float(worst_value),
-        witness_coefficients(family, worst_partition),
-    )
-    return CertificationSummary(
-        r=r,
-        n=family.n,
-        mode=mode,
-        count=count,
-        seed=seed,
-        partitions_checked=checked,
-        worst_min_part_bound=float(worst_value),
-        deltas=family.schedule.deltas,
-        vacuous=family.vacuous,
-        certificate=certificate,
-    )
+    certificate = RieszCertificate(partition, part_bounds, witness_coefficients(family, partition))
+    return CertificationSummary(family, mode, count, seed, certificate)

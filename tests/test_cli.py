@@ -179,6 +179,21 @@ def test_verify_non_utf8_file_is_exit_2(tmp_path, capsys):
     assert err.startswith("nonpaving: parse error:") and "latin.csv" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("#\u20032\u20031\n1+0j\u20281+0j\n", "header must be '# rows cols'"),
+    ("# 2 1\n1+0j\u20281+0j\n", "expected 2 rows, found 1"),
+], ids=["em-space-header", "line-separator-row"])
+def test_verify_unicode_separators_are_exit_2(tmp_path, capsys, text, message):
+    """str.split() and str.splitlines() break at U+2003 and U+2028, so split
+    as text the first file, one physical row, reads as a tight 2 x 1 matrix."""
+    path = tmp_path / "unicode.csv"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"nonpaving: parse error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("text,where", [
     ("# 1 1\n1e200+0j\n", "row 0"),  # the entry squares to inf
     ("# 1 2\n1e154+0j,1e154+0j\n", "row 0"),  # finite squares, infinite row sum
@@ -390,6 +405,29 @@ def test_certify_refused_allocation_is_exit_4(tmp_path, capsys):
     assert not out.exists()
 
 
+_PAST_INTP = str(10**20)  # above 2^63 - 1: numpy could never index these sizes
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--r", "2", "--n", _PAST_INTP, "--out", "fam"],
+    ["verify", "--r", "2", "--n", _PAST_INTP, "--out", "report.json"],
+    ["double", "--r", "2", "--n", _PAST_INTP, "--k", "1", "--out", "dbl"],
+    ["certify", "--r", "2", "--n", _PAST_INTP, "--mode", "sampled", "--out", "c.json"],
+    ["certify", "--r", "2", "--n", "1", "--mode", "sampled", "--count", str(10**19),
+     "--out", "c.json"],
+], ids=["build", "verify", "double", "certify-n", "certify-count"])
+def test_size_past_numpy_index_range_is_exit_4(tmp_path, capsys, monkeypatch, argv):
+    """numpy raises ValueError, not MemoryError, for sizes past intp; they are
+    refused before anything is allocated or written."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("nonpaving: resource limit: a ")
+    assert err.endswith(" is past numpy's index range\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_count_only_for_sampled(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--r", "2", "--n", "1",
                        "--mode", "exhaustive", "--count", "5",
@@ -515,6 +553,20 @@ def test_sweep_r2_delta_column(tmp_path, capsys):
     best = [line.split(",")[3] for line in lines[1:]]
     assert best[0] != "" and best[1] != ""
     assert float(best[1]) <= 2.0 / 3.0 + 1e-8
+
+
+@pytest.mark.parametrize("argv,pin", [
+    (["--r", "2", "--n-list", "1,2,3,4,5"], "sweep_r2_n1-5.csv"),
+    (["--r", "3", "--n-list", "1,2", "--budget", "400000000"], "sweep_r3_n1-2_budget4e8.csv"),
+], ids=["r2-n1-5", "r3-n1-2"])
+def test_sweep_bytes_unchanged(tmp_path, capsys, argv, pin):
+    """The table byte for byte, as written when the search result stored its
+    value beside its part bounds: r = 2 leaves n = 5 blank under the default
+    budget, and (3, 2) fills in 0.34054302431686606 under a larger one."""
+    out = tmp_path / "table.csv"
+    code, _, _ = run(capsys, "sweep", *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (DATA / pin).read_bytes()
 
 
 def test_sweep_r3_best_column_blank_when_over_budget(capsys):

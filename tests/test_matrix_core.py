@@ -297,6 +297,22 @@ def test_csv_header_allows_surrounding_space(tmp_path):
     npt.assert_array_equal(read_matrix_csv(path), [[1 + 0j], [-1j]])
 
 
+def test_csv_reads_crlf_line_ends(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"# 2 2\r\n1+0j, 0.5-2j\r\n0-1j,-0+0j\r\n")
+    npt.assert_array_equal(read_matrix_csv(path), [[1 + 0j, 0.5 - 2j], [-1j, 0j]])
+
+
+def test_csv_rejects_non_ascii_entry(tmp_path):
+    """complex() takes fullwidth digits and strips U+2003; the reader does not."""
+    token = "\uff11+0j\u2003"
+    path = tmp_path / "m.csv"
+    path.write_bytes(f"# 1 2\n1+0j,{token}\n".encode("utf-8"))
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}: bad entry {token!r} at (0, 1)"
+
+
 def test_csv_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# 2 2\n1+0j,1+0j\n1+0j\n")

@@ -82,6 +82,17 @@ def test_non_integral_labels_and_indices_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("num_parts", [2.0, True], ids=["float", "bool"])
+def test_num_parts_follows_the_integer_rule(num_parts):
+    """range(2.0) raises TypeError and True counts as one part ("label 1 out
+    of range for True parts"); the one integer rule refuses both."""
+    fam = build_nonpavable_general(2, 1)
+    with pytest.raises(ValueError, match="num_parts must be an integer"):
+        partition_from_assignment([0, 1, 0, 1], num_parts)
+    with pytest.raises(ValueError, match="num_parts must be an integer"):
+        best_partition_riesz(fam, num_parts)
+
+
 def test_numpy_integers_are_accepted():
     labels = np.array([1, 0, 1], dtype=np.int32)
     assert partition_from_assignment(labels, np.int64(2)).parts == ((1,), (0, 2))
@@ -266,26 +277,19 @@ def test_witness_matches_per_block_oracle_bit_for_bit():
 # RieszCertificate validation
 # ---------------------------------------------------------------------------
 
-def test_certificate_rejects_wrong_min():
-    p = partition_from_assignment([0, 1], 2)
-    with pytest.raises(ValueError):
-        RieszCertificate(p, (1.0, 1.0), 0.5)
-
-
 def test_certificate_rejects_misaligned_bounds():
     p = partition_from_assignment([0, 1], 2)
     with pytest.raises(ValueError):
-        RieszCertificate(p, (1.0,), 1.0)
+        RieszCertificate(p, (1.0,))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_certificate_rejects_non_finite_bounds(bad):
-    """abs(x - nan) > 1e-12 is False, so a tolerance check alone lets nan in."""
+    """min() over a nan slot depends on the slot order, so no derived
+    min_part_bound is sound unless every bound is finite."""
     p = partition_from_assignment([0, 1], 2)
     with pytest.raises(ValueError, match="finite"):
-        RieszCertificate(p, (0.5, 0.7), bad)
-    with pytest.raises(ValueError, match="finite"):
-        RieszCertificate(p, (bad, 0.7), 0.7)
+        RieszCertificate(p, (bad, 0.7))
     with pytest.raises(ValueError, match="finite"):
         Witness(1, 0, (0,), np.array([1.0 + 0j]), bad)
     with pytest.raises(ValueError, match="unit norm"):
@@ -303,15 +307,34 @@ def test_certificate_rejects_witness_indices_out_of_range(k, part, message):
     """Without range checks, part=-1 would be compared with the last part's
     bound, and part=2 on two parts would raise IndexError."""
     with pytest.raises(ValueError, match=message):
-        RieszCertificate(partition_from_assignment([0, 1], 2), (0.5, 0.7), 0.5,
+        RieszCertificate(partition_from_assignment([0, 1], 2), (0.5, 0.7),
                          Witness(k, part, (0,), np.array([1 + 0j]), 0.8))
+
+
+def test_certificate_rejects_missing_bound_of_a_nonempty_part():
+    """min_part_bound skips None slots, so a None on a nonempty part would
+    leave that part's bound out of the certified minimum."""
+    with pytest.raises(ValueError, match="part 1 has 1 rows and bound None"):
+        RieszCertificate(partition_from_assignment([0, 1], 2), (0.5, None))
+
+
+def test_certificate_rejects_bound_of_an_empty_part():
+    """A bound on an empty part would set the derived min: 0.3 here."""
+    with pytest.raises(ValueError, match="part 1 has 0 rows and bound 0.3"):
+        RieszCertificate(partition_from_assignment([0, 0], 2), (0.5, 0.3))
+
+
+def test_certificate_rejects_witness_rows_outside_its_part():
+    wit = Witness(1, 0, (1,), np.array([1.0 + 0j]), 0.8)
+    with pytest.raises(ValueError, match="witness indices are not all in part 0"):
+        RieszCertificate(partition_from_assignment([0, 1], 2), (0.5, 0.7), wit)
 
 
 def test_certificate_rejects_witness_below_part_bound():
     p = partition_from_assignment([0, 0], 2)
     wit = Witness(1, 0, (0,), np.array([1.0 + 0j]), 0.1)
     with pytest.raises(InternalInconsistencyError):
-        RieszCertificate(p, (0.5, None), 0.5, wit)
+        RieszCertificate(p, (0.5, None), wit)
 
 
 # ---------------------------------------------------------------------------

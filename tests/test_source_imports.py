@@ -112,6 +112,15 @@ def test_bound_failure_message_is_written_once():
     assert sites == ["paving_analysis.py"]
 
 
+def test_empty_part_slot_is_written_once():
+    """An empty part's inf bound becomes a None slot in one place, for the
+    search and for sampled certification alike."""
+    conversion = re.compile(r"None if \w+ == (?:math|np)\.inf")
+    sites = [p.name for p in SRC.glob("*.py")
+             for _ in conversion.finditer(p.read_text(encoding="utf-8"))]
+    assert sites == ["paving_analysis.py"]
+
+
 def test_budget_refusals_are_written_twice():
     """Only the assignment budget and the entry budget refuse work: no command
     re-derives a budget rule of its own."""
