@@ -144,32 +144,34 @@ def _classify_tightness(column_pass, tol):
 
     The spectral verdict is a frame-bound spread at most tol, with constant
     the bounds' midpoint; the column verdict is a defect and a spread of
-    the column square sums about their mean both at most tol. Both pass ->
-    tight, return the spectral constant (the constants must agree within
-    10*tol), unless it is not positive: a zero family spans nothing and is
-    not tight. Both fail -> not tight. Split verdicts are tolerated while
-    the failing side is within 10*tol, beyond which the two mathematically
-    equivalent characterizations have diverged: InternalInconsistencyError.
+    the column square sums about their mean (together col_dev) both at most
+    tol. Both pass -> tight, return the spectral constant (the constants
+    must agree within 10*tol), unless it is not positive: a zero family
+    spans nothing and is not tight. Otherwise not tight.
+
+    The two measure different norms of S = V^*V - aI, so one verdict may
+    pass while the other fails; what holds for every S is
+    col_dev <= spread <= 2 d col_dev (Gershgorin for the upper bound; the
+    lower one because |S_ij| <= spread/2 off the diagonal and the diagonal
+    lies in [lo, hi]). Measurements that break either inequality by more
+    than 10*tol are a numerical bug: InternalInconsistencyError.
     """
     lo, hi, defect, sums = column_pass
     spread, a_spec = hi - lo, 0.5 * lo + 0.5 * hi
     a_col = float(np.mean(sums))
     col_dev = max(defect, float(np.max(np.abs(sums - a_col))))
-    tight_spec = spread <= tol
-    tight_col = col_dev <= tol
-    if tight_spec and tight_col:
-        if abs(a_spec - a_col) > 10 * tol:
-            raise InternalInconsistencyError(
-                f"tightness constants disagree: spectral {a_spec} vs columns {a_col}"
-            )
-        return a_spec if a_spec > 0 else None
-    if tight_spec != tight_col:
-        if max(spread, col_dev) > 10 * tol:
-            raise InternalInconsistencyError(
-                "tightness characterizations disagree: "
-                f"eigenvalue spread {spread:.3e}, column deviation {col_dev:.3e}, tol {tol:.3e}"
-            )
-    return None
+    if spread > 2 * len(sums) * col_dev + 10 * tol or col_dev > spread + 10 * tol:
+        raise InternalInconsistencyError(
+            "tightness characterizations disagree: "
+            f"eigenvalue spread {spread:.3e}, column deviation {col_dev:.3e}, tol {tol:.3e}"
+        )
+    if spread > tol or col_dev > tol:
+        return None
+    if abs(a_spec - a_col) > 10 * tol:
+        raise InternalInconsistencyError(
+            f"tightness constants disagree: spectral {a_spec} vs columns {a_col}"
+        )
+    return a_spec if a_spec > 0 else None
 
 
 def is_tight_frame(family: FrameFamily, tol: float = FRAME_CONFIRM_TOL) -> float | None:
@@ -179,7 +181,8 @@ def is_tight_frame(family: FrameFamily, tol: float = FRAME_CONFIRM_TOL) -> float
 
     Tightness is decided spectrally (frame-bound spread <= tol) and
     cross-checked against the column characterization (orthogonal columns,
-    equal column square sums). The two must agree; see _classify_tightness.
+    equal column square sums). Their measurements must be consistent; see
+    _classify_tightness.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -57,17 +57,17 @@ def as_complex_matrix(a) -> np.ndarray:
     return _frozen(out)
 
 
-def require_hermitian(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     """Return h as a validated square Hermitian matrix.
 
-    The deviation max|H - H^*| must not exceed tol (absolute).
+    The deviation max|H - H^*| must not exceed HERMITIAN_TOL (absolute).
     """
     H = as_complex_matrix(h)
     if H.shape[0] != H.shape[1]:
         raise ValueError(f"matrix is not square: shape {H.shape}")
     dev = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {tol:.3e}")
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
     return H
 
 
@@ -242,36 +242,30 @@ def write_matrix_csv(a, path) -> None:
 
 
 class _TokenSlots(dict):
-    """Stripped token bytes -> slot in `values`; a new token is parsed on lookup.
+    """Stripped token bytes -> slot in `values`: the one entry rule.
 
-    ASCII decoding, `complex()` and the finiteness check run once per
-    distinct token; any of them failing raises ValueError, and the caller
-    locates the first bad entry."""
+    A new token is parsed on lookup and cached only when accepted: ASCII,
+    without '_' or parentheses (complex() takes '1_0' and '(1+0j)', which
+    the writer never makes), a complex() literal, and finite. A refused
+    token raises ValueError whose text is the error, "bad entry '...'" or
+    "non-finite entry"."""
 
     def __init__(self):
         super().__init__()
         self.values: list[complex] = []
 
     def __missing__(self, tok: bytes) -> int:
-        z = complex(tok.decode("ascii"))
+        try:
+            if tok.translate(None, b"_()") != tok:
+                raise ValueError
+            z = complex(tok.decode("ascii"))
+        except ValueError:
+            raise ValueError(f"bad entry {tok.decode()!r}") from None
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise ValueError(f"non-finite entry {tok!r}")
+            raise ValueError("non-finite entry")
         slot = self[tok] = len(self.values)
         self.values.append(z)
         return slot
-
-
-def _first_bad_entry(path, body: list[bytes]) -> MatrixParseError:
-    """The error for the first unparseable or non-finite entry in row-major order."""
-    for i, line in enumerate(body):
-        for j, tok in enumerate(t.strip() for t in line.split(b",")):
-            try:
-                z = complex(tok.decode("ascii"))
-            except ValueError:
-                return MatrixParseError(f"{path}: bad entry {tok.decode()!r} at ({i}, {j})")
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                return MatrixParseError(f"{path}: non-finite entry at ({i}, {j})")
-    raise AssertionError("every entry parses")
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -279,15 +273,17 @@ def read_matrix_csv(path) -> np.ndarray:
 
     Raises MatrixParseError on any structural problem: text that is not
     UTF-8, missing or malformed header (dimensions other than ASCII decimal
-    digits included), wrong row/column counts, unparseable, non-ASCII
-    or non-finite entries, or a row or column whose square sum overflows.
+    digits included), wrong row/column counts, entries the entry rule
+    refuses (unparseable, non-ASCII, holding '_' or parentheses, or
+    non-finite), or a row or column whose square sum overflows.
     The bytes are split, not the decoded text, whose splitlines() and
     split() also break at U+2028 and U+2003: lines end at "\n" (a "\r"
     before it is stripped) and header fields are apart by ASCII whitespace.
-    Header and row widths are checked before anything is allocated. Each
-    distinct token is parsed once and the entries are gathered from those
-    values; when a token fails, the entries are walked in row-major order
-    so the error names the first bad one as (i, j).
+    Each line is split once, and header and row widths are checked before
+    anything is sized from them. Each distinct token is parsed once, by the
+    one entry rule in _TokenSlots, and the entries are gathered from those
+    values; the first problem in row-major order is the one reported, a
+    refused token named by its (i, j).
     """
     data = Path(path).read_bytes()
     try:
@@ -310,18 +306,26 @@ def read_matrix_csv(path) -> np.ndarray:
     body = lines[1:]
     if len(body) != rows:
         raise MatrixParseError(f"{path}: expected {rows} rows, found {len(body)}")
-    # Row widths are checked first: the header alone never sizes an allocation.
-    for i, line in enumerate(body):
-        if line.count(b",") + 1 != cols:
-            raise MatrixParseError(
-                f"{path}: row {i} has {line.count(b',') + 1} entries, expected {cols}"
-            )
+
+    def row_tokens():
+        # Each line is split once, and its width is refused before any of its
+        # tokens is looked up: the header alone never sizes an allocation.
+        for i, line in enumerate(body):
+            row = line.split(b",")
+            if len(row) != cols:
+                raise MatrixParseError(f"{path}: row {i} has {len(row)} entries, expected {cols}")
+            yield map(bytes.strip, row)
+
     slots = _TokenSlots()
-    tokens = map(bytes.strip, chain.from_iterable(line.split(b",") for line in body))
     try:
-        index = np.fromiter(map(slots.__getitem__, tokens), dtype=np.intp, count=rows * cols)
-    except ValueError:
-        raise _first_bad_entry(path, body) from None
+        index = np.fromiter(map(slots.__getitem__, chain.from_iterable(row_tokens())), np.intp)
+    except MatrixParseError:
+        raise
+    except ValueError as exc:
+        # Lookups run in row-major order and the table caches only accepted
+        # tokens, so the first token missing from it is the one refused.
+        k = next(k for k, tok in enumerate(chain.from_iterable(row_tokens())) if tok not in slots)
+        raise MatrixParseError(f"{path}: {exc} at {divmod(k, cols)}") from None
     out = np.array(slots.values, dtype=np.complex128)[index].reshape(rows, cols)
     with np.errstate(over="ignore"):
         squares = np.abs(out) ** 2

@@ -28,9 +28,9 @@ def format_complex(z: complex) -> str:
     return f"{re}{sign}{im}j"
 
 
-def _emit(value, indent, level, out):
-    pad = " " * (indent * (level + 1))
-    closepad = " " * (indent * level)
+def _emit(value, level, out):
+    pad = "  " * (level + 1)
+    closepad = "  " * level
     if value is None:
         out.append("null")
     elif isinstance(value, bool):
@@ -50,7 +50,7 @@ def _emit(value, indent, level, out):
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be strings, got %r" % (key,))
             out.append(pad + json.dumps(key) + ": ")
-            _emit(item, indent, level + 1, out)
+            _emit(item, level + 1, out)
             out.append(",\n" if i + 1 < len(value) else "\n")
         out.append(closepad + "}")
     elif isinstance(value, (list, tuple)):
@@ -60,19 +60,20 @@ def _emit(value, indent, level, out):
         out.append("[\n")
         for i, item in enumerate(value):
             out.append(pad)
-            _emit(item, indent, level + 1, out)
+            _emit(item, level + 1, out)
             out.append(",\n" if i + 1 < len(value) else "\n")
         out.append(closepad + "]")
     else:
         raise TypeError("cannot serialize %r" % type(value))
 
 
-def dumps_json(value, indent: int = 2) -> str:
+def dumps_json(value) -> str:
     """Serialize nested dicts/lists/scalars to JSON with stable formatting.
 
+    Containers are laid out one item a line, indented two spaces a level.
     Keys keep insertion order; floats use format_real. Returns a string with
     a trailing newline, ready to be written to a file.
     """
     out: list[str] = []
-    _emit(value, indent, 0, out)
+    _emit(value, 0, out)
     return "".join(out) + "\n"

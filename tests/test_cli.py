@@ -17,6 +17,7 @@ from nonpaving import (
     write_matrix_csv,
 )
 from nonpaving.cli import main
+from nonpaving.errors import InternalInconsistencyError
 
 DATA = Path(__file__).parent / "data"
 
@@ -219,8 +220,11 @@ _ROW = ",".join(["0.5+0.5j"] * 50) + "\n"
     ("# 2 3\n1+0j,1+0j,inf+0j\ninf+0j,inf+0j,1+0j\n", "non-finite entry at (0, 2)"),
     ("# 2 3\n1+0j,1+0j,zzz\naaa,1+0j,1+0j\n", "bad entry 'zzz' at (0, 2)"),
     ("# 2 2\n1+0j,inf+0j\nbad,1+0j\n", "non-finite entry at (0, 1)"),
+    # complex() takes both; the writer makes neither
+    ("# 1 1\n1_0+0j\n", "bad entry '1_0+0j' at (0, 0)"),
+    ("# 1 1\n(1+0j)\n", "bad entry '(1+0j)' at (0, 0)"),
 ], ids=["after-duplicates", "repeated-nan", "repeated-inf", "first-of-two-bad",
-        "non-finite-before-bad"])
+        "non-finite-before-bad", "underscore", "parentheses"])
 def test_verify_names_first_bad_entry_in_row_major_order(tmp_path, capsys, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -262,6 +266,26 @@ def test_verify_in_memory_forms_two_column_products(capsys, column_passes):
     # one for the build's tightness rule, one for the report
     assert run(capsys, "verify", "--r", "3", "--n", "2")[0] == 0
     assert column_passes == [(18, 6), (18, 6)]
+
+
+def test_verify_inconsistent_tightness_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    """A classifier that finds its two measurements inconsistent fails the
+    tightness check and skips the projection check: exit 3, not a traceback."""
+    import nonpaving.cli as cli
+
+    def inconsistent(column_pass, tol):
+        raise InternalInconsistencyError("tightness characterizations disagree")
+
+    monkeypatch.setattr(cli, "_classify_tightness", inconsistent)
+    path = tmp_path / "fam.csv"
+    write_matrix_csv(build_nonpavable_general(2, 2).vectors, path)
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    report = json.loads(out)
+    assert code == 3
+    assert report["failed_checks"] == ["tightness"]
+    assert report["tight_constant"] is None
+    assert report["projection_check"] is None
+    assert err == "verification failed: tightness\n"
 
 
 def test_verify_rejects_conflicting_inputs(tmp_path, capsys):
@@ -501,6 +525,23 @@ def test_double_three_steps(tmp_path, capsys):
     assert report["restriction_identity_residual"] <= 1e-10
     assert report["passed"] is True
     assert read_matrix_csv(prefix + ".csv").shape == (64, 32)
+
+
+def test_double_failed_check_is_exit_3_and_still_writes(tmp_path, capsys, monkeypatch):
+    import nonpaving.cli as cli
+
+    monkeypatch.setattr(cli, "gram_block_residual", lambda doubled, seed: 1.0)
+    prefix = tmp_path / "d"
+    code, out, err = run(capsys, "double", "--r", "2", "--n", "2", "--k", "1",
+                         "--out", str(prefix))
+    assert code == 3
+    assert err == "doubling checks failed: gram-block-structure\n"
+    assert out == f"wrote {prefix}.csv\nwrote {prefix}.json\n"
+    assert read_matrix_csv(f"{prefix}.csv").shape == (16, 8)
+    report = json.loads((tmp_path / "d.json").read_text())
+    assert report["gram_offblock_residual"] == 1.0
+    assert report["failed_checks"] == ["gram-block-structure"]
+    assert report["passed"] is False
 
 
 def test_double_negative_seed_is_usage_error(tmp_path, capsys):

@@ -136,6 +136,18 @@ def test_classify_tightness_constant_disagreement():
         _classify_tightness(column_pass(2.0, 2.0, 1e-12, [2.1, 2.1]), 1e-8)
 
 
+@pytest.mark.parametrize("d", [5, 10, 11, 12, 20])
+def test_near_tight_family_with_split_verdicts_is_not_tight(d):
+    """V^*V = I + 0.99e-8 (J - I): every column entry is within tol, while
+    the eigenvalue spread 0.99e-8 d is not once d > 1. The two norms differ
+    by up to a factor 2d, so this is not tight, and not an inconsistency."""
+    S = np.eye(d) + 0.99e-8 * (np.ones((d, d)) - np.eye(d))
+    family = FrameFamily(np.linalg.cholesky(S).conj().T)
+    assert is_tight_frame(family) is None
+    with pytest.raises(ValueError, match="not 1.0-tight"):
+        projection_from_tight_frame(family, 1.0)
+
+
 def test_is_tight_frame_forms_one_column_product(column_passes):
     fam = build_nonpavable_general(3, 2)
     column_passes.clear()

@@ -313,6 +313,18 @@ def test_csv_rejects_non_ascii_entry(tmp_path):
     assert str(info.value) == f"{path}: bad entry {token!r} at (0, 1)"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("# 2 2\nbad,1+0j\n1+0j\n", "bad entry 'bad' at (0, 0)"),
+    ("# 2 2\n1+0j\nbad,1+0j\n", "row 0 has 1 entries, expected 2"),
+], ids=["entry-first", "width-first"])
+def test_csv_reports_first_problem_in_row_major_order(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_csv_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# 2 2\n1+0j,1+0j\n1+0j\n")

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every
 top-level private helper is used somewhere in the package, the column
-product V^*V and the bound-failure message are each written once, and a
-budget refusal is written only in the two budget checks.
+product V^*V, the matrix entry rule and the bound-failure message are each
+written once, and a budget refusal is written only in the two budget checks.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -103,6 +103,16 @@ def test_column_product_is_written_once():
     sites = [(p.name, m.group(0)) for p in SRC.glob("*.py")
              for m in product.finditer(p.read_text(encoding="utf-8"))]
     assert sites == [("matrix_core.py", "V.conj().T @ V")]
+
+
+def test_entry_rule_is_written_once():
+    """Matrix entries are parsed in one place: one call of the builtin
+    complex in matrix_core, where the text also appears in names such as
+    format_complex and in docstrings."""
+    tree = ast.parse((SRC / "matrix_core.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "complex"]
+    assert len(calls) == 1
 
 
 def test_bound_failure_message_is_written_once():
