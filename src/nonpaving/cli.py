@@ -29,7 +29,13 @@ from .errors import (
     MatrixParseError,
     ResourceLimitError,
 )
-from .frame_ops import _classify_tightness, projection_failures, projection_numbers
+from .frame_ops import (
+    CONSTRUCT_TOL,
+    FRAME_CONFIRM_TOL,
+    _classify_tightness,
+    projection_failures,
+    projection_numbers,
+)
 from .matrix_core import (
     _column_pass,
     gram,
@@ -79,8 +85,8 @@ def _int_at_least(low: int, message: str):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError("tolerances must be positive")
+    if not 0 < value < math.inf:  # also rejects NaN
+        raise argparse.ArgumentTypeError("tolerances must be positive and finite")
     return value
 
 
@@ -123,8 +129,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=r_type, help="build this r in memory instead of reading a file")
     p.add_argument("--n", type=n_type, help="build this n in memory instead of reading a file")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--tol-construct", type=_positive_float, default=1e-10)
-    p.add_argument("--tol-eig", type=_positive_float, default=1e-8)
+    p.add_argument("--tol-construct", type=_positive_float, default=CONSTRUCT_TOL)
+    p.add_argument("--tol-eig", type=_positive_float, default=FRAME_CONFIRM_TOL)
 
     p = sub.add_parser("certify", help="certify the family over partitions; write a certificate")
     p.add_argument("--r", type=r_type, required=True)

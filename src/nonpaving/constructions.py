@@ -37,7 +37,6 @@ from .frame_ops import FrameFamily, _require_tight
 from .matrix_core import _as_int, _require_indexable, dft_matrix, gram, scale_columns
 
 __all__ = [
-    "DEFAULT_ENTRY_BUDGET",
     "DeltaSchedule",
     "BlockBands",
     "BlockLayout",

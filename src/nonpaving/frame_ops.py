@@ -28,13 +28,10 @@ from .matrix_core import (
 )
 
 __all__ = [
-    "FRAME_CONFIRM_TOL",
     "FrameFamily",
     "ProjectionMatrix",
     "frame_bounds",
     "is_tight_frame",
-    "projection_numbers",
-    "projection_failures",
     "projection_from_tight_frame",
     "complement_duality_check",
 ]
@@ -42,6 +39,9 @@ __all__ = [
 # Tolerance of the one tightness rule (`_require_tight`), and of
 # eigenvalue-based checks generally.
 FRAME_CONFIRM_TOL = 1e-8
+
+# Tolerance of construction checks: unit rows and a projection's diagonal.
+CONSTRUCT_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +86,7 @@ class ProjectionMatrix:
         if self.diag_constant is not None:
             object.__setattr__(self, "diag_constant", float(self.diag_constant))
         numbers = projection_numbers(P, self.diag_constant)
-        failed = projection_failures(numbers, self.rank, 1e-8, 1e-10)
+        failed = projection_failures(numbers, self.rank, FRAME_CONFIRM_TOL, CONSTRUCT_TOL)
         if failed:
             raise ValueError(f"not a rank-{self.rank} projection: {', '.join(failed)} {numbers}")
 
@@ -184,8 +184,8 @@ def is_tight_frame(family: FrameFamily, tol: float = FRAME_CONFIRM_TOL) -> float
     equal column square sums). Their measurements must be consistent; see
     _classify_tightness.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("tol must be positive and finite")
     return _classify_tightness(_column_pass(family.vectors), tol)
 
 
@@ -212,7 +212,7 @@ def projection_from_tight_frame(family: FrameFamily, tightness: float) -> Projec
         raise ValueError("tightness must be positive")
     _require_tight(family, tightness)
     P = gram(family.vectors / math.sqrt(tightness))
-    unit_rows = float(np.max(np.abs(row_square_sums(family.vectors) - 1.0))) <= 1e-10
+    unit_rows = float(np.max(np.abs(row_square_sums(family.vectors) - 1.0))) <= CONSTRUCT_TOL
     diag_constant = 1.0 / tightness if unit_rows else None
     return ProjectionMatrix(P, family.dim, diag_constant)
 

@@ -21,7 +21,6 @@ from .errors import MatrixParseError
 from .serialize import format_complex
 
 __all__ = [
-    "HERMITIAN_TOL",
     "as_complex_matrix",
     "require_hermitian",
     "dft_matrix",

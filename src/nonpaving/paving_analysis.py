@@ -44,8 +44,6 @@ from .frame_ops import FrameFamily, _validate_subset
 from .matrix_core import _as_int, _require_indexable, dft_matrix, gram
 
 __all__ = [
-    "DEFAULT_ASSIGNMENT_BUDGET",
-    "WITNESS_TOL",
     "Partition",
     "Witness",
     "RieszCertificate",

@@ -527,20 +527,32 @@ def test_double_three_steps(tmp_path, capsys):
     assert read_matrix_csv(prefix + ".csv").shape == (64, 32)
 
 
-def test_double_failed_check_is_exit_3_and_still_writes(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("name, value, check, key, shape", [
+    ("gram_block_residual", lambda doubled, seed: 1.0, "gram-block-structure",
+     "gram_offblock_residual", (16, 8)),
+    ("restriction_identity_residual", lambda doubled, seed, probes: 1.0,
+     "restriction-identity", "restriction_identity_residual", (16, 8)),
+    # the seed itself as the "doubled" family: its entries are 2^(1/2) times too large
+    ("doubled_family", lambda seed, steps, entry_budget: seed, "entry-bound", None, (8, 4)),
+], ids=["gram-block-structure", "restriction-identity", "entry-bound"])
+def test_double_failed_check_is_exit_3_and_still_writes(tmp_path, capsys, monkeypatch,
+                                                        name, value, check, key, shape):
     import nonpaving.cli as cli
 
-    monkeypatch.setattr(cli, "gram_block_residual", lambda doubled, seed: 1.0)
+    monkeypatch.setattr(cli, name, value)
     prefix = tmp_path / "d"
     code, out, err = run(capsys, "double", "--r", "2", "--n", "2", "--k", "1",
                          "--out", str(prefix))
     assert code == 3
-    assert err == "doubling checks failed: gram-block-structure\n"
+    assert err == f"doubling checks failed: {check}\n"
     assert out == f"wrote {prefix}.csv\nwrote {prefix}.json\n"
-    assert read_matrix_csv(f"{prefix}.csv").shape == (16, 8)
+    assert read_matrix_csv(f"{prefix}.csv").shape == shape
     report = json.loads((tmp_path / "d.json").read_text())
-    assert report["gram_offblock_residual"] == 1.0
-    assert report["failed_checks"] == ["gram-block-structure"]
+    if key is not None:
+        assert report[key] == 1.0
+    else:
+        assert report["max_entry"] > report["max_entry_bound"]
+    assert report["failed_checks"] == [check]
     assert report["passed"] is False
 
 
@@ -727,6 +739,8 @@ def test_usage_error_exit_code_via_subprocess():
     (["sweep", "--r", "2", "--n-list", "0"], "--n-list values must be >= 1"),
     (["build", "--r", "two", "--n", "1"], "invalid int value: 'two'"),
     (["verify", "--r", "2", "--n", "1", "--tol-eig", "tiny"], "invalid float value: 'tiny'"),
+    (["verify", "--r", "2", "--n", "1", "--tol-eig", "inf"],
+     "tolerances must be positive and finite"),
 ])
 def test_single_flag_range_error_is_exit_1(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out"))

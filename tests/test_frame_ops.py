@@ -105,8 +105,9 @@ def test_non_tight_family_returns_none():
 
 
 def test_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        is_tight_frame(two_ones(), tol=0.0)
+    for tol in (0.0, float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            is_tight_frame(two_ones(), tol=tol)
 
 
 def column_pass(lo, hi, defect, sums):
