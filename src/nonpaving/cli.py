@@ -183,22 +183,38 @@ def _check_args(ns: argparse.Namespace) -> None:
         raise ValueError("--seed must be >= 0")
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+def _write(path, content) -> None:
+    """Write `content` to the file at `path` and print `wrote PATH`; with no
+    path, write it to stdout. Text goes out as UTF-8 with '\\n' line ends;
+    other content is a matrix, written as matrix CSV."""
+    if not path:
+        sys.stdout.write(content)
+        return
+    if isinstance(content, str):
+        Path(path).write_text(content, encoding="utf-8", newline="\n")
+    else:
+        write_matrix_csv(content, path)
+    print(f"wrote {path}")
+
+
+def _verdict(what: str, failed: list[str]) -> int:
+    """0 when no check failed; else name the `failed` checks on stderr and
+    return 3."""
+    if not failed:
+        return 0
+    print(f"{what} failed: " + ", ".join(failed), file=sys.stderr)
+    return 3
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     family = build_nonpavable_general(args.r, args.n)
     prefix = args.out or f"family_r{args.r}_n{args.n}"
-    matrix_path, sidecar_path = f"{prefix}.csv", f"{prefix}.json"
-    write_matrix_csv(family.vectors, matrix_path)
-    _write_text(sidecar_path, dumps_json(sidecar_dict(family)))
-    print(f"wrote {matrix_path}")
-    print(f"wrote {sidecar_path}")
+    _write(f"{prefix}.csv", family.vectors)
+    _write(f"{prefix}.json", dumps_json(sidecar_dict(family)))
     return 0
 
 
-def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[dict, list]:
+def _verification_report(matrix, tol_construct: float, tol_eig: float) -> dict:
     failed: list[str] = []
     rows = row_square_sums(matrix)
     column_pass = _column_pass(matrix)
@@ -225,16 +241,15 @@ def _verification_report(matrix, tol_construct: float, tol_eig: float) -> tuple[
         projection_check = projection_numbers(P, 1.0 / tight)
         failed += projection_failures(projection_check, matrix.shape[1], tol_eig, tol_construct)
 
-    report = {
+    return {
         "orthogonality_defect": defect,
         "row_sums": [float(x) for x in rows],
         "col_sums": [float(x) for x in cols],
         "tight_constant": tight,
         "projection_check": projection_check,
-        "failed_checks": list(failed),
+        "failed_checks": failed,
         "passed": not failed,
     }
-    return report, failed
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -242,17 +257,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         matrix = read_matrix_csv(args.input_path)
     else:
         matrix = build_nonpavable_general(args.r, args.n).vectors
-    report, failed = _verification_report(matrix, args.tol_construct, args.tol_eig)
-    text = dumps_json(report)
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if failed:
-        print("verification failed: " + ", ".join(failed), file=sys.stderr)
-        return 3
-    return 0
+    report = _verification_report(matrix, args.tol_construct, args.tol_eig)
+    _write(args.out, dumps_json(report))
+    return _verdict("verification", report["failed_checks"])
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -263,8 +270,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         family, args.mode, count=args.count, seed=args.seed, budget=args.budget
     )
     out = args.out or f"certificate_r{args.r}_n{args.n}.json"
-    _write_text(out, dumps_json(summary.to_json_dict()))
-    print(f"wrote {out}")
+    _write(out, dumps_json(summary.to_json_dict()))
     print(
         f"certified r={args.r} n={args.n} over {summary.partitions_checked} partitions; "
         f"worst min-part bound {format_real(summary.worst_min_part_bound)}"
@@ -298,8 +304,7 @@ def cmd_double(args: argparse.Namespace) -> int:
         failed.append("restriction-identity")
 
     prefix = args.out or f"doubled_r{args.r}_n{args.n}_k{args.steps}"
-    matrix_path, report_path = f"{prefix}.csv", f"{prefix}.json"
-    write_matrix_csv(doubled.vectors, matrix_path)
+    _write(f"{prefix}.csv", doubled.vectors)
     report = {
         "r": args.r,
         "n": args.n,
@@ -311,16 +316,11 @@ def cmd_double(args: argparse.Namespace) -> int:
         "gram_offblock_residual": offblock,
         "restriction_identity_residual": restriction,
         "probe_seed": args.seed,
-        "failed_checks": list(failed),
+        "failed_checks": failed,
         "passed": not failed,
     }
-    _write_text(report_path, dumps_json(report))
-    print(f"wrote {matrix_path}")
-    print(f"wrote {report_path}")
-    if failed:
-        print("doubling checks failed: " + ", ".join(failed), file=sys.stderr)
-        return 3
-    return 0
+    _write(f"{prefix}.json", dumps_json(report))
+    return _verdict("doubling checks", failed)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -338,12 +338,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lines.append(
             ",".join([str(n)] + [format_real(d) for d in schedule.deltas] + [best])
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 

@@ -24,47 +24,37 @@ def format_complex(z: complex) -> str:
     z = complex(z)
     re = format_real(z.real)
     im = format_real(abs(z.imag))
-    sign = "-" if (z.imag < 0 or (z.imag == 0 and math.copysign(1.0, z.imag) < 0)) else "+"
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
     return f"{re}{sign}{im}j"
 
 
-def _emit(value, level, out):
-    pad = "  " * (level + 1)
-    closepad = "  " * level
+def _emit(value, level: int) -> str:
     if value is None:
-        out.append("null")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(format_real(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be strings, got %r" % (key,))
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(item, level + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(closepad + "}")
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format_real(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        brackets, items = "{}", (_key(k) + _emit(v, level + 1) for k, v in value.items())
     elif isinstance(value, (list, tuple)):
-        if len(value) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad)
-            _emit(item, level + 1, out)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(closepad + "]")
+        brackets, items = "[]", (_emit(v, level + 1) for v in value)
     else:
         raise TypeError("cannot serialize %r" % type(value))
+    if not value:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * level + brackets[1]
+
+
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError("JSON object keys must be strings, got %r" % (key,))
+    return json.dumps(key) + ": "
 
 
 def dumps_json(value) -> str:
@@ -74,6 +64,4 @@ def dumps_json(value) -> str:
     Keys keep insertion order; floats use format_real. Returns a string with
     a trailing newline, ready to be written to a file.
     """
-    out: list[str] = []
-    _emit(value, 0, out)
-    return "".join(out) + "\n"
+    return _emit(value, 0) + "\n"

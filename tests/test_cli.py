@@ -36,7 +36,7 @@ def test_build_writes_matrix_and_sidecar(tmp_path, capsys):
     prefix = str(tmp_path / "fam")
     code, out, _ = run(capsys, "build", "--r", "2", "--n", "2", "--out", prefix)
     assert code == 0
-    assert "fam.csv" in out and "fam.json" in out
+    assert out == f"wrote {prefix}.csv\nwrote {prefix}.json\n"
     matrix = read_matrix_csv(prefix + ".csv")
     assert matrix.shape == (8, 4)
     side = json.loads((tmp_path / "fam.json").read_text())
@@ -301,9 +301,13 @@ def test_verify_requires_some_input(capsys):
 
 def test_verify_report_to_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
-    code, _, _ = run(capsys, "verify", "--r", "2", "--n", "1", "--out", str(out_path))
+    code, out, _ = run(capsys, "verify", "--r", "2", "--n", "1", "--out", str(out_path))
     assert code == 0
+    assert out == f"wrote {out_path}\n"
     assert json.loads(out_path.read_text())["passed"] is True
+    code, out, _ = run(capsys, "verify", "--r", "2", "--n", "1")
+    assert code == 0
+    assert out.encode("utf-8") == out_path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +323,10 @@ def test_certify_exhaustive_r2_n2(tmp_path, capsys):
     assert cert["partitions_checked"] == 256
     assert cert["worst_min_part_bound"] <= 2.0 / 3.0 + 1e-8
     assert cert["passed"] is True
-    assert "256 partitions" in stdout
+    assert stdout == (
+        f"wrote {out}\ncertified r=2 n=2 over 256 partitions; "
+        f"worst min-part bound {cert['worst_min_part_bound']:.17g}\n"
+    )
 
 
 def test_certify_exhaustive_r2_n3(tmp_path, capsys):
@@ -515,9 +522,10 @@ def test_double_zero_steps_matches_build(tmp_path, capsys):
 
 def test_double_three_steps(tmp_path, capsys):
     prefix = str(tmp_path / "d3")
-    code, _, _ = run(capsys, "double", "--r", "2", "--n", "2", "--k", "3",
-                     "--out", prefix)
+    code, out, _ = run(capsys, "double", "--r", "2", "--n", "2", "--k", "3",
+                       "--out", prefix)
     assert code == 0
+    assert out == f"wrote {prefix}.csv\nwrote {prefix}.json\n"
     report = json.loads((tmp_path / "d3.json").read_text())
     assert (report["rows"], report["cols"]) == (64, 32)
     assert report["max_entry"] <= report["max_entry_bound"] + 1e-12
@@ -595,9 +603,13 @@ def test_double_rejects_negative_steps(tmp_path, capsys):
 
 def test_sweep_r2_delta_column(tmp_path, capsys):
     out = tmp_path / "table.csv"
-    code, _, _ = run(capsys, "sweep", "--r", "2", "--n-list", "1,2,3,4",
-                     "--out", str(out))
+    code, stdout, _ = run(capsys, "sweep", "--r", "2", "--n-list", "1,2,3,4",
+                          "--out", str(out))
     assert code == 0
+    assert stdout == f"wrote {out}\n"
+    code, stdout, _ = run(capsys, "sweep", "--r", "2", "--n-list", "1,2,3,4")
+    assert code == 0
+    assert stdout.encode("utf-8") == out.read_bytes()
     lines = out.read_text().splitlines()
     assert lines[0] == "n,delta_1,delta_2,best_min_part_riesz"
     first_deltas = [float(line.split(",")[1]) for line in lines[1:]]
@@ -651,6 +663,17 @@ def test_sweep_r3_delta1_values(capsys):
     assert float(rows[1][1]) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+def test_sweep_large_r_leaves_best_blank(capsys):
+    """(594, 2) is the smallest n = 2 schedule whose partial sums drift more
+    than 1e-12 from their closed form; the 705,672-row family is never built."""
+    code, out, err = run(capsys, "sweep", "--r", "594", "--n-list", "2")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header.endswith(",delta_594,best_min_part_riesz")
+    assert row.startswith("2,") and row.endswith(",")
+    assert len(row.split(",")) == 596
+
+
 def test_sweep_empty_n_list(capsys):
     code, out, _ = run(capsys, "sweep", "--r", "2", "--n-list", "")
     assert code == 0
@@ -664,8 +687,28 @@ def test_sweep_rejects_bad_n_list(capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism and the module entry point
+# output paths, determinism and the module entry point
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,written", [
+    (["verify", "--r", "2", "--n", "1"], []),
+    (["sweep", "--r", "2", "--n-list", "1"], []),
+    (["build", "--r", "2", "--n", "1"], ["family_r2_n1.csv", "family_r2_n1.json"]),
+    (["double", "--r", "2", "--n", "1", "--k", "1"],
+     ["doubled_r2_n1_k1.csv", "doubled_r2_n1_k1.json"]),
+    (["certify", "--r", "2", "--n", "1"], ["certificate_r2_n1.json"]),
+], ids=["verify", "sweep", "build", "double", "certify"])
+def test_empty_out_is_stdout_or_the_default_name(tmp_path, capsys, monkeypatch, argv, written):
+    """verify and sweep write to stdout; the other three use their default names."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv, "--out", "")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == written
+    if written:
+        assert out.startswith("".join(f"wrote {name}\n" for name in written))
+    else:
+        assert out == run(capsys, *argv)[1]
+
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     for tag in ("one", "two"):

@@ -99,6 +99,30 @@ def test_schedule_not_monotone_near_last_block():
     assert delta_schedule(5, 2).deltas[3] == delta_schedule(5, 3).deltas[3]
 
 
+@pytest.mark.parametrize("r,n", [(594, 2), (3000, 3)])
+def test_schedule_accepts_large_r(r, n):
+    """Past r of a few hundred the accumulated partial sums drift from their
+    closed forms by more than 1e-12 (2.3e-12 at (3000, 3)), yet stay within
+    the rounding bound (k + 1) eps c. Only the schedule is formed: the
+    (594, 2) family alone would be a 705,672 x 1,188 complex matrix."""
+    sched = delta_schedule(r, n)
+    for k, total in enumerate(sched.partial_sums, start=1):
+        closed = float(partial_sum_fraction(r, n, k))
+        assert abs(total - closed) <= (k + 1) * 2.0**-52 * closed
+
+
+@pytest.mark.parametrize("k,error", [(1, 1e-9), (3, 1e-13)])
+def test_schedule_refuses_a_wrong_delta(monkeypatch, k, error):
+    """A delta wrong by a relative 1e-13 is refused too: delta_3 = 1.5 of
+    (3, 2) off by 1.5e-13 puts the total 56 times its rounding bound
+    4 eps 3 from 3, though within the former absolute 1e-12."""
+    original = constructions._delta_value
+    monkeypatch.setattr(constructions, "_delta_value",
+                        lambda r, n, j: original(r, n, j) * (1 + error if j == k else 1))
+    with pytest.raises(ValueError, match=f"partial sum through delta_{k} deviates from"):
+        delta_schedule(3, 2)
+
+
 def test_schedule_rejects_small_r():
     with pytest.raises(ValueError):
         delta_schedule(1, 3)

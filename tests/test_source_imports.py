@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 top-level private helper is used somewhere in the package, the column
-product V^*V, the matrix entry rule and the bound-failure message are each
-written once, and a budget refusal is written only in the two budget checks.
+product V^*V, the matrix entry rule, the bound-failure message and the
+CLI's text output are each written once, and a budget refusal is written
+only in the two budget checks.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -113,6 +114,18 @@ def test_entry_rule_is_written_once():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "complex"]
     assert len(calls) == 1
+
+
+def test_cli_output_is_written_once():
+    """Every text file the CLI writes goes through one write_text call, with
+    '\\n' line ends on every platform, and every report it prints to stdout
+    through one sys.stdout.write."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    files = [c for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "write_text"]
+    stdout = [c for c in calls if ast.unparse(c.func) == "sys.stdout.write"]
+    assert (len(files), len(stdout)) == (1, 1)
+    assert [k.value.value for k in files[0].keywords if k.arg == "newline"] == ["\n"]
 
 
 def test_bound_failure_message_is_written_once():
