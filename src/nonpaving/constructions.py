@@ -32,9 +32,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .frame_ops import FrameFamily, _require_tight
-from .matrix_core import _as_int, _require_indexable, dft_matrix, gram, scale_columns
+from .matrix_core import _as_int, _check_budget, _require_indexable, dft_matrix, gram, scale_columns
 
 __all__ = [
     "DeltaSchedule",
@@ -96,8 +95,7 @@ class DeltaSchedule:
 
     def residual_weight_sq(self, k: int) -> float:
         """r minus the partial sum through delta_{k-1} (the band weight, squared)."""
-        if not 1 <= k <= self.r:
-            raise ValueError(f"k must be in [1, {self.r}]")
+        k = _block_number(k, self.r)
         return self.r - (self.partial_sums[k - 2] if k >= 2 else 0.0)
 
 
@@ -111,10 +109,16 @@ def delta_schedule(r: int, n: int) -> DeltaSchedule:
 
 
 def _validate_r_n(r, n) -> None:
-    if _as_int(r, "r") < 2:
-        raise ValueError("r must be >= 2")
-    if _as_int(n, "n") < 1:
-        raise ValueError("n must be >= 1")
+    _as_int(r, "r", 2)
+    _as_int(n, "n", 1)
+
+
+def _block_number(k, r: int) -> int:
+    """k as a 1-based block number of an r-block family, else ValueError."""
+    k = _as_int(k, "k", 1)
+    if k > r:
+        raise ValueError(f"k must be <= {r}, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -156,9 +160,7 @@ class BlockLayout:
         object.__setattr__(self, "blocks", tuple(blocks))
 
     def _block(self, k: int) -> BlockBands:
-        if not 1 <= k <= self.schedule.r:
-            raise ValueError(f"k must be in [1, {self.schedule.r}]")
-        return self.blocks[k - 1]
+        return self.blocks[_block_number(k, self.schedule.r) - 1]
 
     def column_weights(self, k: int) -> np.ndarray:
         """Length-r*n weight vector for block k (1-based)."""
@@ -175,7 +177,7 @@ class BlockLayout:
 
     def block_rows(self, k: int) -> range:
         """Global row indices of block k: (k-1)*r*n .. k*r*n - 1."""
-        self._block(k)  # validates k
+        k = _block_number(k, self.schedule.r)
         rn = self.schedule.r * self.schedule.n
         return range((k - 1) * rn, k * rn)
 
@@ -260,19 +262,11 @@ def doubled_family(
     unchanged. Raises ResourceLimitError when the output would exceed
     entry_budget entries.
     """
-    steps = _as_int(steps, "steps")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    entry_budget = _as_int(entry_budget, "entry_budget")
-    if entry_budget < 1:
-        raise ValueError("entry_budget must be positive")
+    steps = _as_int(steps, "steps", 0)
+    entry_budget = _as_int(entry_budget, "entry_budget", 1)
     entries = family.count * family.dim
-    # 4^steps alone is over the budget once 2 * steps reaches its bit length.
-    if 2 * steps >= entry_budget.bit_length() or entries << 2 * steps > entry_budget:
-        raise ResourceLimitError(
-            f"doubled family would hold {entries}*4^{steps} entries, "
-            f"over the budget of {entry_budget}"
-        )
+    _check_budget(entries, 4, steps, entry_budget, f"doubled family would hold {entries}*4^{steps}"
+                  f" entries, over the budget of {entry_budget}")
     out = family
     for _ in range(steps):
         out = doubling_step(out)

@@ -18,7 +18,9 @@ class InternalInconsistencyError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured enumeration or size budget would be exceeded."""
+    """A configured enumeration or size budget would be exceeded, or an
+    array would be past numpy's index range (numpy itself raises ValueError
+    there, not MemoryError)."""
 
 
 class CertificationError(RuntimeError):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixParseError
+from .errors import MatrixParseError, ResourceLimitError
 from .serialize import format_complex
 
 __all__ = [
@@ -70,24 +70,35 @@ def require_hermitian(h) -> np.ndarray:
     return H
 
 
-def _as_int(value, what: str) -> int:
+def _as_int(value, what: str, low: int | None = None) -> int:
     """value as an int when it is a Python or numpy integer other than a
-    bool, else ValueError; int() would truncate 1.9 to 1 and pick a row
-    the caller did not name."""
+    bool, and at least `low` when one is given, else ValueError; int() would
+    truncate 1.9 to 1 and pick a row the caller did not name."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
     return int(value)
 
 
+def _check_budget(scale: int, base: int, exponent: int, budget: int, message: str) -> None:
+    """ResourceLimitError(message) unless scale * base**exponent <= budget.
+
+    All four are ints, scale and budget >= 1 and base, exponent >= 0. The
+    power is not formed when it alone is over the budget: base**exponent is
+    at least 2**(exponent * (bit length of base - 1)), which is over the
+    budget once that exponent reaches the budget's bit length."""
+    if exponent * (base.bit_length() - 1) >= budget.bit_length() or scale * base**exponent > budget:
+        raise ResourceLimitError(message)
+
+
 def _require_indexable(shape: tuple[int, ...], itemsize: int) -> None:
-    """MemoryError if numpy could not index an array of this shape and item
-    size: past intp it raises ValueError ("Maximum allowed size exceeded")
-    where a smaller allocation it cannot make raises MemoryError."""
-    if math.prod(shape) * itemsize > np.iinfo(np.intp).max:
-        raise MemoryError(
-            f"a {' x '.join(map(str, shape))} array of {itemsize}-byte entries "
-            "is past numpy's index range"
-        )
+    """ResourceLimitError if numpy could not index an array of this shape and
+    item size: past intp it raises ValueError ("Maximum allowed size
+    exceeded") where a smaller allocation it cannot make raises MemoryError."""
+    dims = " x ".join(map(str, shape))
+    message = f"a {dims} array of {itemsize}-byte entries is past numpy's index range"
+    _check_budget(math.prod(shape) * itemsize, 1, 0, np.iinfo(np.intp).max, message)
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -97,8 +108,7 @@ def dft_matrix(n: int) -> np.ndarray:
     mod n before exponentiation, which keeps every entry an exact unimodular
     phase over sqrt(n) even for large n.
     """
-    if _as_int(n, "n") < 1:
-        raise ValueError("n must be >= 1")
+    n = _as_int(n, "n", 1)
     idx = np.arange(n, dtype=np.int64)
     phase = (idx[:, None] * idx[None, :]) % n
     out = np.exp((2j * np.pi / n) * phase) / math.sqrt(n)

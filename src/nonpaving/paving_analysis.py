@@ -39,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import StackedDftFrame
-from .errors import CertificationError, InternalInconsistencyError, ResourceLimitError
+from .errors import CertificationError, InternalInconsistencyError
 from .frame_ops import FrameFamily, _validate_subset
-from .matrix_core import _as_int, _require_indexable, dft_matrix, gram
+from .matrix_core import _as_int, _check_budget, _require_indexable, dft_matrix, gram
 
 __all__ = [
     "Partition",
@@ -113,9 +113,7 @@ class Partition:
 
 def partition_from_assignment(labels, num_parts: int) -> Partition:
     """Partition from a label sequence: index i goes to part labels[i]."""
-    num_parts = _as_int(num_parts, "num_parts")
-    if num_parts < 1:
-        raise ValueError("num_parts must be >= 1")
+    num_parts = _as_int(num_parts, "num_parts", 1)
     buckets: list[list[int]] = [[] for _ in range(num_parts)]
     for i, lab in enumerate(labels):
         lab = _as_int(lab, "label")
@@ -136,19 +134,11 @@ def _bound_failure(labels, num_parts: int, value: float, threshold: float) -> Ce
 def _check_assignment_budget(size: int, num_parts: int, budget: int) -> None:
     """Validate the walk's arguments; ResourceLimitError unless num_parts**size
     is within budget."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    num_parts = _as_int(num_parts, "num_parts")
-    if num_parts < 1:
-        raise ValueError("num_parts must be >= 1")
-    budget = _as_int(budget, "budget")
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    # 2^size alone is over the budget once size reaches its bit length.
-    if (num_parts >= 2 and size >= budget.bit_length()) or num_parts**size > budget:
-        raise ResourceLimitError(
-            f"{num_parts}^{size} assignments exceed the budget of {budget}"
-        )
+    size = _as_int(size, "size", 1)
+    num_parts = _as_int(num_parts, "num_parts", 1)
+    budget = _as_int(budget, "budget", 1)
+    message = f"{num_parts}^{size} assignments exceed the budget of {budget}"
+    _check_budget(1, num_parts, size, budget, message)
 
 
 def _eig_min(H: np.ndarray) -> float:
@@ -473,12 +463,8 @@ class Witness:
         object.__setattr__(self, "coefficients", c)
         indices = tuple(_as_int(i, "witness index") for i in self.indices)
         object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "k", _as_int(self.k, "witness block"))
-        object.__setattr__(self, "part", _as_int(self.part, "witness part"))
-        if self.k < 1:
-            raise ValueError(f"witness block k must be >= 1, got {self.k}")
-        if self.part < 0:
-            raise ValueError(f"witness part must be >= 0, got {self.part}")
+        object.__setattr__(self, "k", _as_int(self.k, "witness block k", 1))
+        object.__setattr__(self, "part", _as_int(self.part, "witness part", 0))
         if not (math.isfinite(self.achieved_norm_sq) and self.achieved_norm_sq >= 0):
             raise ValueError("achieved_norm_sq must be finite and nonnegative")
 
@@ -839,10 +825,8 @@ def certify_nonpavable(
         res = _partition_search(gram(family.vectors), r, threshold=threshold, family=family)
         partition, part_bounds = res.partition, res.part_bounds
     elif mode == "sampled":
-        count = 0 if count is None else _as_int(count, "count")
-        if count < 1:
-            raise ValueError("sampled mode needs count >= 1")
-        seed = 0 if seed is None else _as_int(seed, "seed")
+        count = _as_int(count, "count", 1)
+        seed = 0 if seed is None else _as_int(seed, "seed", 0)
         _require_indexable((count, family.count), 8)
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))

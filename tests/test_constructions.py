@@ -304,6 +304,19 @@ def test_block_rows_span_each_block():
         layout.block_rows(4)
 
 
+@pytest.mark.parametrize("method", ["residual_weight_sq", "column_weights", "band_columns",
+                                    "block_rows"])
+@pytest.mark.parametrize("k", [True, 1.0, np.float64(2.0), 0, 4],
+                         ids=["bool", "float", "numpy-float", "zero", "past-r"])
+def test_block_number_follows_the_integer_rule(method, k):
+    """A block number of the (3, 2) layout is an integer in [1, 3]: True would
+    name block 1, and a float would index a tuple (TypeError) or pass as 1."""
+    layout = block_layout(3, 2)
+    owner = layout.schedule if method == "residual_weight_sq" else layout
+    with pytest.raises(ValueError, match=r"^k must be "):
+        getattr(owner, method)(k)
+
+
 def test_sidecar_dict_round_trips_the_layout():
     fam = build_nonpavable_general(3, 2)
     side = sidecar_dict(fam)
@@ -375,11 +388,29 @@ def test_doubled_family_respects_entry_budget():
     fam = build_nonpavable_general(2, 2)  # 8 x 4
     with pytest.raises(ResourceLimitError):
         doubled_family(fam, 10)  # 8192 x 4096 = 2^25 entries
-    # one step below the default budget is fine
+    # one step below the default budget is fine at a budget of exactly 32*4^9
     doubled_family(fam, 9, entry_budget=1 << 23)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        doubled_family(fam, 9, entry_budget=(1 << 23) - 1)
+    assert str(excinfo.value) == (
+        "doubled family would hold 32*4^9 entries, over the budget of 8388607"
+    )
     # a numpy integer budget takes the same rule
     with pytest.raises(ResourceLimitError, match=r"32\*4\^10 entries"):
         doubled_family(fam, 10, entry_budget=np.int64(1 << 24))
+
+
+def test_build_past_numpy_index_range_is_a_budget_refusal(monkeypatch):
+    """(2, 10**20) is refused as a budget, before the DFT is formed."""
+    def no_dft(_):
+        raise AssertionError("dft_matrix called before the index-range check")
+
+    monkeypatch.setattr(constructions, "dft_matrix", no_dft)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        build_nonpavable_general(2, 10**20)
+    assert str(excinfo.value) == (
+        f"a {4 * 10**20} x {2 * 10**20} array of 16-byte entries is past numpy's index range"
+    )
 
 
 def test_gram_block_residual_small():

@@ -154,6 +154,14 @@ def test_best_partition_respects_budget():
         best_partition_riesz(build_nonpavable_general(3, 2), 3, budget=1000)
     with pytest.raises(ResourceLimitError, match=r"^2\^8 assignments exceed the budget of 10$"):
         best_partition_riesz(build_nonpavable_general(2, 2), 2, budget=np.int64(10))
+    # 2^8 fits 256 and not 255, whose bit length is 8: the edge where the
+    # refusal does not form the power
+    best_partition_riesz(build_nonpavable_general(2, 2), 2, budget=256)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        best_partition_riesz(build_nonpavable_general(2, 2), 2, budget=255)
+    assert str(excinfo.value) == "2^8 assignments exceed the budget of 255"
+    # one part is one assignment, whatever the size
+    pa._check_assignment_budget(10**6, 1, 1)
     with pytest.raises(ValueError):
         best_partition_riesz(build_nonpavable_general(2, 1), 0)
     with pytest.raises(ValueError):
@@ -372,6 +380,28 @@ def test_certification_flags_vacuous_family():
     assert summary.vacuous
     assert summary.deltas == (1.0, 1.0)
     assert summary.to_json_dict()["vacuous"] is True
+
+
+@pytest.mark.parametrize("size", [8.0, np.float64(8.0), True], ids=["float", "numpy-float", "bool"])
+def test_assignment_size_follows_the_integer_rule(size):
+    with pytest.raises(ValueError, match="size must be an integer"):
+        pa._check_assignment_budget(size, 2, 256)
+
+
+def test_sampled_count_past_numpy_index_range_is_a_budget_refusal(monkeypatch):
+    """10**19 draws are refused as a budget, before the Gram is formed."""
+    def no_gram(_):
+        raise AssertionError("gram formed before the index-range check")
+
+    monkeypatch.setattr(pa, "gram", no_gram)
+    with pytest.raises(ResourceLimitError, match="past numpy's index range$"):
+        certify_nonpavable(build_nonpavable_general(2, 1), "sampled", count=10**19)
+
+
+def test_sampled_negative_seed_is_refused_by_the_integer_rule(monkeypatch):
+    monkeypatch.setattr(pa, "gram", lambda _: pytest.fail("gram formed before the seed check"))
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        certify_nonpavable(build_nonpavable_general(2, 1), "sampled", count=5, seed=-1)
 
 
 def test_certification_mode_validation():

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 top-level private helper is used somewhere in the package, the column
-product V^*V, the matrix entry rule, the bound-failure message and the
-CLI's text output are each written once, and a budget refusal is written
-only in the two budget checks.
+product V^*V, the matrix entry rule, the bound-failure message, the
+CLI's text output, the budget refusal and the integer lower bound are each
+written once.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -144,14 +144,49 @@ def test_empty_part_slot_is_written_once():
     assert sites == ["paving_analysis.py"]
 
 
-def test_budget_refusals_are_written_twice():
-    """Only the assignment budget and the entry budget refuse work: no command
-    re-derives a budget rule of its own."""
+def _raise_sites(paths, prefix: str, text: str = "") -> list[str]:
+    """Sorted names of the innermost functions holding a `raise` statement
+    that starts with `prefix` and contains `text`."""
     sites = []
-    for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                sites += [fn.name for node in ast.walk(fn) if isinstance(node, ast.Raise)
-                          and ast.unparse(node).startswith("raise ResourceLimitError")]
-    assert sorted(sites) == ["_check_assignment_budget", "doubled_family"]
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Raise):
+            statement = ast.unparse(node)
+            if statement.startswith(prefix) and text in statement:
+                sites.append(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sorted(sites)
+
+
+def test_raise_sites_name_the_innermost_function(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def outer():\n"
+        "    def inner():\n        raise ValueError('x must be >= 1')\n"
+        "    raise ValueError('y must be >= 2')\n"
+        "class C:\n    def method(self):\n        raise KeyError('z must be >= 3')\n",
+        encoding="utf-8",
+    )
+    assert _raise_sites([module], "raise ValueError", "must be >= ") == ["inner", "outer"]
+
+
+def test_budget_refusal_is_written_once():
+    """Every budget (assignments, entries, numpy's index range) refuses work
+    through the one budget check: no command re-derives a budget rule of its
+    own."""
+    assert _raise_sites(SRC.glob("*.py"), "raise ResourceLimitError") == ["_check_budget"]
+
+
+def test_integer_bound_is_written_once():
+    """Every bounded integer argument goes through _as_int's lower bound; the
+    other `must be >= ` refusal is _column_pass's shape check. cli.py is left
+    out: its argparse layer words each flag's bound itself."""
+    paths = [p for p in SRC.glob("*.py") if p.name != "cli.py"]
+    sites = _raise_sites(paths, "raise ValueError", "must be >= ")
+    assert sites == ["_as_int", "_column_pass"]
