@@ -123,12 +123,27 @@ def partition_from_assignment(labels, num_parts: int) -> Partition:
     return Partition(tuple(tuple(b) for b in buckets))
 
 
-def _bound_failure(labels, num_parts: int, value: float, threshold: float) -> CertificationError:
-    """The error for a labeling whose min-part bound `value` is above the threshold."""
-    return CertificationError(
-        f"partition keeps min-part bound {value} above {threshold}",
-        partition=partition_from_assignment(labels, num_parts),
-    )
+def _select(labels, bounds, num_parts: int, threshold: float) -> tuple[Partition, tuple]:
+    """The certify rule over evaluated labelings, taken in the caller's order.
+
+    labels holds L rows of M labels and bounds their L x num_parts part
+    bounds, inf for an empty part; a row's value is the min of its bounds.
+    Raises CertificationError naming the first row whose value is above
+    `threshold`. Otherwise returns the partition of the first row of
+    largest value and its bound slots: floats, None for an empty part.
+    """
+    bounds = np.asarray(bounds, dtype=np.float64)
+    values = bounds.min(axis=1)
+    failed = values > threshold
+    if failed.any():
+        first = int(failed.argmax())
+        raise CertificationError(
+            f"partition keeps min-part bound {float(values[first])} above {threshold}",
+            partition=partition_from_assignment(labels[first], num_parts),
+        )
+    row = int(values.argmax())
+    slots = tuple(None if b == math.inf else float(b) for b in bounds[row])
+    return partition_from_assignment(labels[row], num_parts), slots
 
 
 def _check_assignment_budget(size: int, num_parts: int, budget: int) -> None:
@@ -176,11 +191,6 @@ def _prune_margin(G: np.ndarray) -> float:
     """
     size = G.shape[0]
     return 2.0 * 4.0 * size * size * _EPS * float(np.linalg.norm(G))
-
-
-def _bound_slots(bounds) -> tuple:
-    """Part bounds as a tuple of floats, None for an empty part (inf)."""
-    return tuple(None if b == math.inf else float(b) for b in bounds)
 
 
 def _min_part_bound(result) -> float:
@@ -320,7 +330,8 @@ def _partition_search(
     `_prune_margin(G)` and the window w is at or below level, a leaf within
     w of level is pooled, and the walk stops after its first leaf above
     `threshold`. The images of the pooled leaves under the row maps are
-    then evaluated too.
+    then evaluated too, and the pool (pooled leaves and images, each a
+    distinct labeling) is taken in label order.
 
     Window. eigvalsh returns a part bound within e = `_prune_margin(G)` / 2
     of the exact one (see there). An image H' of a part matrix H under a
@@ -340,14 +351,16 @@ def _partition_search(
     maximizer F has value V >= best throughout, so its orbit is evaluated.
     The flat walk's rule over the evaluated labelings, the first in
     lexicographic order of the largest value, picks F, since every
-    labeling of value V was evaluated the same way.
+    labeling of value V was evaluated the same way. `_select` applies
+    that rule to the pool.
 
     Threshold crossed. Let L be the flat walk's first labeling above
     `threshold`; relabeling keeps bits, so L is a restricted-growth string,
     and level <= threshold < V_L, so c is pooled when it is reached. It is
     reached before the walk stops: c <= L <= every leaf above the threshold
     in label order. So L is evaluated, every evaluated labeling above the
-    threshold comes at or after L, and the least of them, L, is raised.
+    threshold comes at or after L, and the least of them, L, is raised:
+    `_select` raises the pool's first labeling above the threshold.
 
     Callers check num_parts**M, the number of partitions the search covers,
     against their budget before forming G.
@@ -399,21 +412,15 @@ def _partition_search(
         descend(0, 0, maps)
     finally:
         del descend  # the closure refers to itself: free G and the lists now, not at a full GC
-    pool = [leaf for leaf in leaves if leaf[2] >= level - window]
-    if maps:
-        seen = {leaf[0] for leaf in pool}
-        images = sorted({_canonical(leaf[0][y] for y in g) for leaf in pool for g in maps} - seen)
-        if images:
-            bounds = _sampled_part_bounds(G, np.array(images), num_parts)
-            solved += int(np.isfinite(bounds).sum())
-            pool += [(lab, row.tolist(), float(row.min())) for lab, row in zip(images, bounds)]
-    failed = [leaf for leaf in pool if leaf[2] > threshold]
-    if failed:
-        labels, _, value = min(failed, key=lambda leaf: leaf[0])
-        raise _bound_failure(labels, num_parts, value, threshold)
-    labels, values, _ = min(pool, key=lambda leaf: (-leaf[2], leaf[0]))
-    partition = partition_from_assignment(labels, num_parts)
-    return _SearchResult(partition, _bound_slots(values), nodes, nodes + solved, rejected)
+    pool = {lab: row for lab, row, value in leaves if value >= level - window}
+    images = sorted({_canonical(lab[y] for y in g) for lab in pool for g in maps} - pool.keys())
+    if images:
+        bounds = _sampled_part_bounds(G, np.array(images), num_parts)
+        solved += int(np.isfinite(bounds).sum())
+        pool.update(zip(images, bounds.tolist()))
+    labels = sorted(pool)
+    partition, part_bounds = _select(labels, [pool[lab] for lab in labels], num_parts, threshold)
+    return _SearchResult(partition, part_bounds, nodes, nodes + solved, rejected)
 
 
 def best_partition_riesz(
@@ -433,6 +440,17 @@ def best_partition_riesz(
     stacked = family if isinstance(family, StackedDftFrame) else None
     result = _partition_search(gram(family.vectors), num_parts, family=stacked)
     return result.partition, result.value
+
+
+def _as_real(value, message: str, low: float = -math.inf) -> float:
+    """value as a float when it is a Python or numpy integer or float other
+    than a bool, finite and at least `low`, else ValueError with `message`
+    and the value; a bool would print as true in a certificate, and a str
+    or complex has no order."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value >= low):
+        raise ValueError(f"{message}, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,8 +483,8 @@ class Witness:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "k", _as_int(self.k, "witness block k", 1))
         object.__setattr__(self, "part", _as_int(self.part, "witness part", 0))
-        if not (math.isfinite(self.achieved_norm_sq) and self.achieved_norm_sq >= 0):
-            raise ValueError("achieved_norm_sq must be finite and nonnegative")
+        achieved = _as_real(self.achieved_norm_sq, "achieved_norm_sq must be finite and >= 0", 0.0)
+        object.__setattr__(self, "achieved_norm_sq", achieved)
 
 
 def _witness_limit(family: StackedDftFrame, k):
@@ -621,18 +639,16 @@ class RieszCertificate:
     def __post_init__(self):
         if len(self.part_bounds) != self.partition.num_parts:
             raise ValueError("need one bound slot per part")
-        object.__setattr__(self, "part_bounds", tuple(self.part_bounds))
         for label, (part, bound) in enumerate(zip(self.partition.parts, self.part_bounds)):
             if (bound is None) == bool(part):
                 raise ValueError(
                     f"part {label} has {len(part)} rows and bound {bound!r}: "
                     "a slot is None exactly when its part is empty"
                 )
-        finite = [b for b in self.part_bounds if b is not None]
-        if not finite:
+        if not self.partition.size:
             raise ValueError("certificate needs at least one nonempty part")
-        if not all(map(math.isfinite, finite)):
-            raise ValueError("part bounds must be finite")
+        object.__setattr__(self, "part_bounds", tuple(
+            b if b is None else _as_real(b, "part bound must be finite") for b in self.part_bounds))
         if self.witness is not None:
             if not self.witness.part < self.partition.num_parts:
                 raise ValueError(
@@ -747,7 +763,7 @@ def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> n
 def _sampled_values(
     G: np.ndarray, labels: np.ndarray, num_parts: int, threshold: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Min-part bounds of the draws that could fail the threshold or be the worst.
+    """Part bounds of the draws that could fail the threshold or be the worst.
 
     A draw's value is the min of its parts' bounds, so the bound of its
     largest part (ties to the lowest label), computed first for every draw
@@ -761,17 +777,15 @@ def _sampled_values(
     value so far settled 9,494 of 10,000 (3, 2) draws on one seed, whose
     draw of largest U has a small value.)
 
-    Returns values and bounds. For a settled draw, values[d] is its
-    min-part bound and bounds[d] its part bounds (inf for empty parts);
-    an unsettled draw keeps its U in values and nan in bounds. Its U, and
-    so its value, is at most the threshold and below the largest settled
-    value, so the draws above the threshold and the first maximizer of
-    values are those a pass over every part of every draw finds.
+    Returns the settled draws' indices, in draw order, and their part
+    bounds (settled x num_parts, inf for empty parts). Every draw above the
+    threshold is settled, and so is every draw whose U reaches the largest
+    settled value, so the first of them above the threshold and the first
+    of largest value are those a pass over every part of every draw finds.
     """
     tallies = np.stack([(labels == j).sum(axis=1) for j in range(num_parts)], axis=1)
     upper = _mask_bounds(G, labels == tallies.argmax(axis=1)[:, None])
-    values = upper.copy()
-    bounds = np.full((len(upper), num_parts), np.nan)
+    bounds = np.empty((len(upper), num_parts))
     settled = np.zeros(len(upper), dtype=bool)
     chosen = upper > threshold
     order, end = np.argsort(-upper, kind="stable"), 0
@@ -780,10 +794,10 @@ def _sampled_values(
         end = 2 * end + 1
         draws = np.flatnonzero(chosen & ~settled)
         bounds[draws] = _sampled_part_bounds(G, labels[draws], num_parts)
-        values[draws] = bounds[draws].min(axis=1)
         settled[draws] = True
-        if end >= len(order) or upper[order[end]] < values[settled].max():
-            return values, bounds
+        if end >= len(order) or upper[order[end]] < bounds[settled].min(axis=1).max():
+            draws = np.flatnonzero(settled)
+            return draws, bounds[draws]
 
 
 def certify_nonpavable(
@@ -802,15 +816,15 @@ def certify_nonpavable(
     of each draw's largest part caps its value, and all its part bounds are
     computed only where that cap exceeds the threshold or reaches the
     largest value computed (`_sampled_values`). Each partition must
-    satisfy min-part bound <= max(delta_1..delta_{r-1}) + 1e-8, or
-    CertificationError carries the first one that does not (in enumeration
-    or draw order). Then one structural check, `_check_block_structure`,
-    proves for every partition at once that its witness achieves at most
-    delta_k + WITNESS_TOL, or raises InternalInconsistencyError, so no
-    partition's witness is computed but the certificate's own. The summary
-    reports the worst (largest) min-part bound seen, with a full certificate
-    for the first partition attaining it, whose witness
-    (`witness_coefficients`) is checked against delta_k + WITNESS_TOL too.
+    satisfy min-part bound <= max(delta_1..delta_{r-1}) + 1e-8. `_select`
+    applies the rule, in enumeration or draw order: CertificationError
+    carries the first partition that does not, and otherwise the
+    certificate is the first partition of largest min-part bound. Then one
+    structural check, `_check_block_structure`, proves for every partition
+    at once that its witness achieves at most delta_k + WITNESS_TOL, or
+    raises InternalInconsistencyError, so no partition's witness is
+    computed but the certificate's own (`witness_coefficients`, checked
+    against delta_k + WITNESS_TOL too).
     Families with n = 1 certify trivially and are flagged vacuous.
     """
     if not isinstance(family, StackedDftFrame):
@@ -831,14 +845,8 @@ def certify_nonpavable(
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))
         labels = rng.integers(0, r, size=(count, family.count))
-        values, bounds = _sampled_values(gram(family.vectors), labels, r, threshold)
-        failed = values > threshold  # only settled draws, whose values are exact
-        if failed.any():
-            first = failed.argmax()
-            raise _bound_failure(labels[first], r, float(values[first]), threshold)
-        worst = int(values.argmax())
-        partition = partition_from_assignment(labels[worst], r)
-        part_bounds = _bound_slots(bounds[worst])
+        draws, bounds = _sampled_values(gram(family.vectors), labels, r, threshold)
+        partition, part_bounds = _select(labels[draws], bounds, r, threshold)
     else:
         raise ValueError(f'mode must be "exhaustive" or "sampled", got {mode!r}')
 

@@ -304,6 +304,25 @@ def test_certificate_rejects_non_finite_bounds(bad):
         Witness(1, 0, (0,), np.array([complex(bad, 0.0)]), 0.5)
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", 1 + 0j], ids=["bool", "str", "complex"])
+def test_certificate_numbers_must_be_real(bad):
+    """A bool would be written as true in the certificate JSON, and a str or
+    complex has no order to compare with a threshold."""
+    p = partition_from_assignment([0, 1], 2)
+    with pytest.raises(ValueError, match="finite"):
+        RieszCertificate(p, (bad, 0.7))
+    with pytest.raises(ValueError, match="finite"):
+        Witness(1, 0, (0,), np.array([1.0 + 0j]), bad)
+
+
+def test_certificate_numbers_are_stored_as_floats():
+    cert = RieszCertificate(partition_from_assignment([0, 1, 1], 3), (np.float64(0.5), 1, None))
+    assert [type(b) for b in cert.part_bounds] == [float, float, type(None)]
+    assert cert.part_bounds == (0.5, 1.0, None)
+    wit = Witness(1, 0, (0,), np.array([1.0 + 0j]), np.int64(1))
+    assert type(wit.achieved_norm_sq) is float and wit.achieved_norm_sq == 1.0
+
+
 @pytest.mark.parametrize(
     "k, part, message",
     [(1, -1, "witness part must be >= 0"),
@@ -348,6 +367,37 @@ def test_certificate_rejects_witness_below_part_bound():
 # ---------------------------------------------------------------------------
 # certify_nonpavable
 # ---------------------------------------------------------------------------
+
+def test_select_takes_the_first_row_of_largest_value():
+    labels = [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    bounds = [[0.25, 0.5], [0.5, 0.75], [0.75, 0.5]]  # values 0.25, 0.5, 0.5
+    partition, slots = pa._select(labels, bounds, 2, 1.0)
+    assert partition == partition_from_assignment((0, 1, 0), 2)
+    assert slots == (0.5, 0.75)
+
+
+def test_select_reads_an_empty_part_as_no_bound():
+    """An empty part's inf never sets a row's value and becomes a None slot."""
+    labels = np.array([[0, 1], [0, 0]])
+    bounds = np.array([[0.25, 0.25], [0.5, np.inf]])
+    partition, slots = pa._select(labels, bounds, 2, 1.0)
+    assert partition.parts == ((0, 1), ())
+    assert slots == (0.5, None)
+    assert all(type(b) is float for b in slots if b is not None)
+
+
+def test_select_raises_the_first_row_above_the_threshold():
+    """A later, larger row does not displace the first failure, and a value
+    equal to the threshold does not fail."""
+    labels = [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
+    bounds = [[0.5, 0.75], [0.625, 0.75], [0.875, 0.875]]
+    with pytest.raises(CertificationError) as info:
+        pa._select(labels, bounds, 2, 0.5)
+    assert str(info.value) == "partition keeps min-part bound 0.625 above 0.5"
+    assert info.value.partition == partition_from_assignment((0, 1, 0), 2)
+    partition, slots = pa._select(labels[:1], bounds[:1], 2, 0.5)
+    assert (partition.parts, slots) == (((0, 1), (2,)), (0.5, 0.75))
+
 
 def test_exhaustive_certification_r2_n2():
     summary = certify_nonpavable(build_nonpavable_general(2, 2), "exhaustive")

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 top-level private helper is used somewhere in the package, the column
 product V^*V, the matrix entry rule, the bound-failure message, the
-CLI's text output, the budget refusal and the integer lower bound are each
-written once.
+certification failure, the CLI's text output, the budget refusal and the
+integer lower bound are each written once.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -181,6 +181,12 @@ def test_budget_refusal_is_written_once():
     through the one budget check: no command re-derives a budget rule of its
     own."""
     assert _raise_sites(SRC.glob("*.py"), "raise ResourceLimitError") == ["_check_budget"]
+
+
+def test_certification_failure_is_raised_once():
+    """The exhaustive pool and the sampled draws pick their failure, and
+    their certificate, through one selection rule."""
+    assert _raise_sites(SRC.glob("*.py"), "raise CertificationError") == ["_select"]
 
 
 def test_integer_bound_is_written_once():
