@@ -50,7 +50,8 @@ __all__ = [
     "sidecar_dict",
 ]
 
-# Largest matrix (in entries) doubled_family will materialize.
+# Largest matrix (in entries) that build_nonpavable_general builds and
+# doubled_family materializes by default.
 DEFAULT_ENTRY_BUDGET = 1 << 24
 
 
@@ -229,9 +230,14 @@ def build_nonpavable_general(r: int, n: int) -> StackedDftFrame:
     """Stack r rescaled copies of the r*n-point DFT per the block layout.
 
     Returns a unit-norm r-tight family of r^2*n vectors in dimension r*n.
+    Raises ResourceLimitError, before anything is allocated, when its
+    r^3 n^2 entries exceed DEFAULT_ENTRY_BUDGET.
     """
     layout = block_layout(r, n)
-    _require_indexable((r * r * n, r * n), 16)
+    rows, cols = r * r * n, r * n
+    _require_indexable((rows, cols), 16)
+    _check_budget(rows * cols, 1, 0, DEFAULT_ENTRY_BUDGET, f"family would hold {rows}*{cols}"
+                  f" entries, over the budget of {DEFAULT_ENTRY_BUDGET}")
     base = dft_matrix(r * n)
     stack = np.vstack([scale_columns(base, layout.column_weights(k)) for k in range(1, r + 1)])
     return StackedDftFrame(stack, layout)
@@ -246,7 +252,13 @@ def doubling_step(family: FrameFamily) -> FrameFamily:
     so doubling runs no eigensolve.
     """
     V = family.vectors
-    out = np.block([[V, V], [V, -V]]) / math.sqrt(2.0)
+    m, d = V.shape
+    out = np.empty((2 * m, 2 * d), dtype=np.complex128)
+    np.divide(V, math.sqrt(2.0), out=out[:m, :d])
+    out[:m, d:] = out[m:, :d] = out[:m, :d]
+    # (-V)/sqrt 2, not -(V/sqrt 2): the two differ in the sign of some zeros.
+    lower_right = np.negative(V, out=out[m:, d:])
+    lower_right /= math.sqrt(2.0)
     return FrameFamily(out)
 
 
@@ -276,9 +288,11 @@ def doubled_family(
 def gram_block_residual(doubled: FrameFamily, seed_family: FrameFamily) -> float:
     """Max deviation of the doubled Gram from diagonal copies of the seed Gram.
 
-    Computed block pair by block pair so the full Gram of a large doubled
-    family is never materialized. The number of copies is inferred from the
-    row counts, which must divide evenly.
+    Computed one block row at a time: copy i's M rows against the rows of
+    copies i and after, with the conjugate of the doubled matrix formed
+    once, so the full Gram of a large doubled family is never materialized
+    and each entry has the bits of its own block product. The number of
+    copies is inferred from the row counts, which must divide evenly.
     """
     M = seed_family.count
     if M == 0 or doubled.count % M != 0:
@@ -286,13 +300,12 @@ def gram_block_residual(doubled: FrameFamily, seed_family: FrameFamily) -> float
     copies = doubled.count // M
     G_seed = gram(seed_family.vectors)
     V = doubled.vectors
+    Vc = V.conj()
     worst = 0.0
     for i in range(copies):
-        Ri = V[i * M : (i + 1) * M]
-        for j in range(i, copies):
-            block = Ri @ V[j * M : (j + 1) * M].conj().T
-            dev = np.max(np.abs(block - G_seed)) if i == j else np.max(np.abs(block))
-            worst = max(worst, float(dev))
+        blocks = V[i * M : (i + 1) * M] @ Vc[i * M :].T
+        blocks[:, :M] -= G_seed
+        worst = max(worst, float(np.max(np.abs(blocks))))
     return worst
 
 

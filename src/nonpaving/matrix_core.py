@@ -37,10 +37,22 @@ __all__ = [
 # Absolute deviation allowed between H and its conjugate transpose.
 HERMITIAN_TOL = 1e-12
 
+# Bytes of each of gram's two block buffers: 128 x 128 complex entries.
+_BLOCK_BYTES = 256 * 1024
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _checked(out: np.ndarray) -> np.ndarray:
+    """out unchanged when it is 2-d with finite entries, else ValueError."""
+    if out.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={out.ndim}")
+    if out.size and not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite")
+    return out
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -48,12 +60,15 @@ def as_complex_matrix(a) -> np.ndarray:
 
     Rejects non-2-d input and non-finite entries.
     """
-    out = np.array(a, dtype=np.complex128, copy=True, order="C")
-    if out.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={out.ndim}")
-    if out.size and not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
-    return _frozen(out)
+    return _frozen(_checked(np.array(a, dtype=np.complex128, copy=True, order="C")))
+
+
+def _as_operand(a) -> np.ndarray:
+    """Input validated as as_complex_matrix does, for a function that only
+    reads it during the call: `a` itself when it already is a C-ordered
+    complex128 array, else a converted copy. The copy that keeps a stored
+    matrix from changing under its holder is not needed for a read."""
+    return _checked(np.asarray(a, dtype=np.complex128, order="C"))
 
 
 def require_hermitian(h) -> np.ndarray:
@@ -141,15 +156,28 @@ def gram(f) -> np.ndarray:
 
     The product is explicitly Hermitized ((G + G^*)/2, moving entries by
     under 1e-15) so downstream eigenvalue and idempotency checks see exact
-    Hermitian structure. The sum is formed in one C-ordered buffer beside G;
-    IEEE addition commutes, so its bits are those of 0.5 * (G + G^*).
+    Hermitian structure. It is Hermitized in place, one pair of b x b blocks
+    at a time (b = 128), each entry from its own sum conj(G_ji) + G_ij, so
+    the bits are those of 0.5 * (G + G^*) (IEEE addition commutes). Besides
+    the M x M output, the call holds the conjugate of f during the product
+    (and a copy of f when f is not a C-ordered complex128 array), then two
+    block buffers of _BLOCK_BYTES each.
     """
-    F = as_complex_matrix(f)
+    F = _as_operand(f)
     G = F @ F.conj().T
-    H = np.conjugate(G.T, out=np.empty_like(G))
-    H += G
-    H *= 0.5
-    return _frozen(H)
+    m = G.shape[0]
+    b = min(max(m, 1), math.isqrt(_BLOCK_BYTES // 16))
+    buf = np.empty((2, b, b), dtype=np.complex128)
+    for i in range(0, m, b):
+        for j in range(i, m, b):
+            upper, lower = G[i : i + b, j : j + b], G[j : j + b, i : i + b]
+            h, w = upper.shape
+            conj_lower = np.conjugate(lower.T, out=buf[0, :h, :w])
+            if i != j:
+                lower += np.conjugate(upper.T, out=buf[1, :w, :h])
+            upper += conj_lower
+    G *= 0.5
+    return _frozen(G)
 
 
 def hermitian_extremal_eig(h, which: str) -> float:
@@ -229,7 +257,7 @@ def write_matrix_csv(a, path) -> None:
     integer sorts: first the halves, then each entry's pair of half slots.
     A matrix with no rows or columns raises ValueError: the reader refuses it.
     """
-    A = as_complex_matrix(a)
+    A = _as_operand(a)
     rows, cols = A.shape
     if rows < 1 or cols < 1:
         raise ValueError(f"cannot write a {rows} x {cols} matrix: need at least 1 x 1")

@@ -448,9 +448,13 @@ def _as_real(value, message: str, low: float = -math.inf) -> float:
     and the value; a bool would print as true in a certificate, and a str
     or complex has no order."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value >= low):
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if not (math.isfinite(x) and x >= low):
         raise ValueError(f"{message}, got {value!r}")
-    return float(value)
+    return x
 
 
 @dataclass(frozen=True, eq=False)

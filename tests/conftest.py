@@ -8,11 +8,12 @@ to ``PYTHONPATH`` for every subprocess a test starts, such as
 
 The ``column_passes`` fixture counts the package's column products V^*V;
 ``perturbed_family`` is a built family with one block-1 row moved off the
-block structure.
+block structure; ``traced_peak`` measures a call's peak of traced memory.
 """
 
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,3 +62,19 @@ def perturbed_family():
     vectors = np.array(base.vectors)
     vectors[0, -1] += 1e-10
     return StackedDftFrame(vectors, base.layout)
+
+
+@pytest.fixture
+def traced_peak():
+    """Function that calls fn() and returns the peak of memory traced by
+    tracemalloc during the call, in bytes: arrays made before it and still
+    held do not count."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

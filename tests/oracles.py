@@ -269,3 +269,31 @@ def matrix_csv_by_entries(matrix):
             tokens.append(format(z.real, ".17g") + sign + format(abs(z.imag), ".17g") + "j")
         lines.append(",".join(tokens))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# whole-matrix checks: one product, one block, one Gram pair at a time
+# ---------------------------------------------------------------------------
+
+def idempotency_residual_direct(p):
+    """max|P P - P| from the whole M x M product."""
+    return float(np.max(np.abs(p @ p - p)))
+
+
+def doubling_by_blocks(v):
+    """One doubling as the block matrix [[V, V], [V, -V]] divided by sqrt 2."""
+    return np.block([[v, v], [v, -v]]) / math.sqrt(2.0)
+
+
+def gram_block_residual_by_pairs(doubled, seed):
+    """Largest deviation of the doubled matrix's Gram from diagonal copies of
+    the seed's Gram, one M x M block product per pair of copies i <= j."""
+    m = seed.shape[0]
+    g = seed @ seed.conj().T
+    g_seed = 0.5 * (g + g.conj().T)
+    worst = 0.0
+    for i in range(doubled.shape[0] // m):
+        for j in range(i, doubled.shape[0] // m):
+            block = doubled[i * m : (i + 1) * m] @ doubled[j * m : (j + 1) * m].conj().T
+            worst = max(worst, float(np.max(np.abs(block - g_seed if i == j else block))))
+    return worst

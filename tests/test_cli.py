@@ -459,6 +459,27 @@ def test_size_past_numpy_index_range_is_exit_4(tmp_path, capsys, monkeypatch, ar
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--r", "500", "--n", "2", "--out", "fam"],
+    ["verify", "--r", "500", "--n", "2", "--out", "report.json"],
+    ["double", "--r", "500", "--n", "2", "--k", "0", "--entry-budget", str(10**12),
+     "--out", "dbl"],
+    ["certify", "--r", "500", "--n", "2", "--mode", "sampled", "--out", "c.json"],
+], ids=["build", "verify", "double", "certify-sampled"])
+def test_family_over_the_entry_budget_is_exit_4(tmp_path, capsys, monkeypatch, argv):
+    """The (500, 2) family would take 8 GB; it is refused before anything is
+    allocated or written, whatever --entry-budget says of the doubling."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "nonpaving: resource limit: family would hold 500000*1000 entries,"
+        " over the budget of 16777216\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_count_only_for_sampled(tmp_path, capsys):
     code, _, err = run(capsys, "certify", "--r", "2", "--n", "1",
                        "--mode", "exhaustive", "--count", "5",

@@ -27,7 +27,13 @@ from nonpaving import (
 from nonpaving import constructions, frame_ops
 from nonpaving.cli import main
 
-from oracles import closed_form_r2, delta_fraction, partial_sum_fraction
+from oracles import (
+    closed_form_r2,
+    delta_fraction,
+    doubling_by_blocks,
+    gram_block_residual_by_pairs,
+    partial_sum_fraction,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -366,6 +372,25 @@ def test_doubling_shrinks_entries():
     )
 
 
+@pytest.mark.parametrize("r,n,steps", [(2, 2, 3), (2, 4, 6), (3, 2, 2)])
+def test_doubling_bits_equal_the_block_matrix(r, n, steps):
+    """Every step against [[V, V], [V, -V]] / sqrt 2, compared as 64-bit
+    patterns so that -0.0 and 0.0 count as different."""
+    v = build_nonpavable_general(r, n).vectors
+    for _ in range(steps):
+        expected = doubling_by_blocks(v)
+        v = doubling_step(FrameFamily(v)).vectors
+        assert v.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+
+
+def test_doubling_keeps_signed_zeros_of_the_block_matrix():
+    seed = FrameFamily(np.array([[0.0, -0.0 + 1j], [-0.0 - 0.0j, 1.0]]))
+    expected = doubling_by_blocks(seed.vectors)
+    out = doubling_step(seed).vectors
+    assert out.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+    assert np.signbit(out.real).any() and not np.signbit(out.real).all()
+
+
 def test_doubled_family_zero_steps_is_input():
     fam = build_nonpavable_general(2, 2)
     assert doubled_family(fam, 0) is fam
@@ -413,10 +438,50 @@ def test_build_past_numpy_index_range_is_a_budget_refusal(monkeypatch):
     )
 
 
+def test_build_entry_budget_is_one_budget_refusal(monkeypatch):
+    """(16, 129) would hold 33024 x 2064 entries, over 2^24: refused before
+    the DFT is formed."""
+    def no_dft(_):
+        raise AssertionError("dft_matrix called before the entry budget")
+
+    monkeypatch.setattr(constructions, "dft_matrix", no_dft)
+    with pytest.raises(ResourceLimitError) as excinfo:
+        build_nonpavable_general(16, 129)
+    assert str(excinfo.value) == (
+        "family would hold 33024*2064 entries, over the budget of 16777216"
+    )
+
+
+def test_build_entry_budget_admits_its_bound(monkeypatch):
+    """r^3 n^2 entries equal to the budget are built: (2, 3) holds 12 x 6."""
+    monkeypatch.setattr(constructions, "DEFAULT_ENTRY_BUDGET", 72)
+    assert build_nonpavable_general(2, 3).vectors.size == 72
+    with pytest.raises(ResourceLimitError, match=r"^family would hold 18\*6 entries"):
+        build_nonpavable_general(3, 2)
+
+
 def test_gram_block_residual_small():
     fam = build_nonpavable_general(2, 2)
     out = doubled_family(fam, 3)
     assert gram_block_residual(out, fam) <= 1e-12
+
+
+@pytest.mark.parametrize("r,n,steps", [(2, 2, 3), (2, 4, 6)])
+def test_gram_block_residual_bits_equal_the_block_pairs(r, n, steps):
+    """One product per block row against one per pair of copies: 64 against
+    2,080 products for (2, 4) K = 6."""
+    fam = build_nonpavable_general(r, n)
+    out = doubled_family(fam, steps)
+    expected = gram_block_residual_by_pairs(out.vectors, fam.vectors)
+    assert gram_block_residual(out, fam) == expected
+
+
+def test_gram_block_residual_bits_equal_the_block_pairs_when_damaged():
+    fam = build_nonpavable_general(2, 2)
+    damaged = np.array(doubled_family(fam, 2).vectors)
+    damaged[20, 3] += 1e-3
+    expected = gram_block_residual_by_pairs(damaged, fam.vectors)
+    assert gram_block_residual(FrameFamily(damaged), fam) == expected > 1e-4
 
 
 def test_gram_block_residual_detects_damage():

@@ -17,9 +17,10 @@ from nonpaving import (
     is_tight_frame,
     projection_from_tight_frame,
 )
-from nonpaving.frame_ops import _classify_tightness
+from nonpaving import frame_ops
+from nonpaving.frame_ops import _classify_tightness, projection_numbers
 
-from oracles import jacobi_hermitian_eigenvalues
+from oracles import idempotency_residual_direct, jacobi_hermitian_eigenvalues
 
 
 def two_ones():
@@ -213,6 +214,59 @@ def test_projection_matrix_validates_rank_range():
     for matrix, rank in [(np.eye(2), 3), (np.eye(3), 0), (np.zeros((2, 2)), 2)]:
         with pytest.raises(ValueError):
             ProjectionMatrix(matrix.astype(complex), rank)
+
+
+# ---------------------------------------------------------------------------
+# projection_numbers: P^2 - P one row panel at a time
+# ---------------------------------------------------------------------------
+
+def _random_hermitian(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return gram(a / math.sqrt(2 * m))
+
+
+def _built_projection(r, n):
+    return gram(build_nonpavable_general(r, n).vectors / math.sqrt(r))
+
+
+@pytest.mark.parametrize("m,rows", [(1, 2), (5, 8), (8, 8), (9, 8), (13, 8), (16, 8), (17, 2)],
+                         ids=["1x1", "below", "equal", "one-row-tail", "straddle",
+                              "two-panels", "two-row-panels"])
+def test_panel_residual_bits_equal_the_direct_product_on_random_hermitian(monkeypatch, m, rows):
+    """Panels of `rows` rows against max|P P - P| from the whole product."""
+    monkeypatch.setattr(frame_ops, "_PANEL_BYTES", 16 * m * rows)
+    P = _random_hermitian(m)
+    assert projection_numbers(P, None)["idempotency_residual"] == idempotency_residual_direct(P)
+
+
+@pytest.mark.parametrize("rows", [2, 7, 17, 18, 32])
+@pytest.mark.parametrize("r,n", [(2, 2), (3, 2)])
+def test_panel_residual_bits_equal_the_direct_product_on_built_families(monkeypatch, r, n, rows):
+    P = _built_projection(r, n)
+    monkeypatch.setattr(frame_ops, "_PANEL_BYTES", 16 * P.shape[0] * rows)
+    assert projection_numbers(P, 1 / r)["idempotency_residual"] == idempotency_residual_direct(P)
+
+
+def test_panel_residual_bits_equal_the_direct_product_at_the_default_panel():
+    """The (8, 16) projection is 1024 x 1024: four panels of 256 rows."""
+    P = _built_projection(8, 16)
+    assert projection_numbers(P, 1 / 8)["idempotency_residual"] == idempotency_residual_direct(P)
+
+
+def test_projection_numbers_peak_memory_is_half_its_input(traced_peak):
+    """One 256-row panel and its moduli beside the 1024 x 1024 P: 0.375 of
+    P's bytes, where P @ P - P and its moduli held 1.5."""
+    P = _built_projection(8, 16)
+    assert traced_peak(lambda: projection_numbers(P, 1 / 8)) <= 0.5 * P.nbytes
+
+
+def test_panel_residual_keeps_a_nan(monkeypatch):
+    """As np.max of the whole product does, whatever panel the NaN is in."""
+    monkeypatch.setattr(frame_ops, "_PANEL_BYTES", 16 * 9 * 2)
+    P = np.array(_random_hermitian(9))
+    P[8, 0] = np.nan  # in the last panel, after larger entries
+    assert math.isnan(projection_numbers(P, None)["idempotency_residual"])
 
 
 # ---------------------------------------------------------------------------

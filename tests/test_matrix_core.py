@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -139,13 +138,26 @@ def _random_40x7():
     return rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
 
 
+def _random_with_zero_rows(m):
+    """m x 5 with a row of -0.0 and a half-zero row: signed zeros in G."""
+    rng = np.random.default_rng(m)
+    f = rng.normal(size=(m, 5)) + 1j * rng.normal(size=(m, 5))
+    f[0] = -0.0
+    f[m // 2, 1:] = 0.0
+    return f
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_nonpavable_general(2, 3).vectors,
     lambda: build_nonpavable_general(3, 2).vectors,
     lambda: build_nonpavable_general(8, 16).vectors / math.sqrt(8),
     _random_40x7,
-], ids=["build-r2-n3", "build-r3-n2", "build-r8-n16-over-sqrt8", "random-40x7"])
+    *(lambda m=m: _random_with_zero_rows(m) for m in (1, 127, 128, 129, 300)),
+], ids=["build-r2-n3", "build-r3-n2", "build-r8-n16-over-sqrt8", "random-40x7",
+        *(f"zeros-{m}x5" for m in (1, 127, 128, 129, 300))])
 def test_gram_bits_equal_two_sided_hermitization(make):
+    """tobytes() tells -0.0 from 0.0; the m x 5 cases are below, at and past
+    gram's 128-row block."""
     f = make()
     g = f @ f.conj().T
     expected = 0.5 * (g + g.conj().T)
@@ -155,21 +167,26 @@ def test_gram_bits_equal_two_sided_hermitization(make):
     assert not out.flags.writeable
 
 
-def _traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_gram_peak_memory_is_near_its_output():
-    """G and one Hermitized buffer beside it: about 2.1 output sizes, where
-    0.5 * (G + G^*) held about 3.1."""
+def test_gram_peak_memory_is_near_its_output(traced_peak):
+    """G, Hermitized in place, and the conjugate of f during the product:
+    about 1.13 output sizes, where a second Hermitized buffer held 2.1 and
+    0.5 * (G + G^*) about 3.1."""
     f = build_nonpavable_general(8, 16).vectors
     out_bytes = gram(f).nbytes
-    assert _traced_peak(lambda: gram(f)) <= 2.5 * out_bytes
+    assert traced_peak(lambda: gram(f)) <= 1.25 * out_bytes
+
+
+def test_gram_of_no_rows_is_empty():
+    out = gram(np.zeros((0, 3)))
+    assert out.shape == (0, 0) and out.dtype == np.complex128
+
+
+def test_gram_leaves_its_input_unchanged():
+    f = np.array(build_nonpavable_general(2, 3).vectors)
+    before = f.copy()
+    gram(f)
+    assert f.tobytes() == before.tobytes()
+    assert f.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +433,13 @@ def test_csv_write_of_a_transposed_view_matches_its_copy(tmp_path):
     assert (tmp_path / "view.csv").read_bytes() == (tmp_path / "copy.csv").read_bytes()
 
 
-def test_csv_write_peak_memory_is_a_few_matrix_sizes(tmp_path):
-    """The validated copy, one sorted copy of the halves and the int64 slot
-    arrays: about 2.5 matrix sizes, where a 16-byte-record unique held 4.6."""
+def test_csv_write_peak_memory_is_a_few_matrix_sizes(tmp_path, traced_peak):
+    """One sorted copy of the halves and the int64 slot arrays: about 1.5
+    matrix sizes, where a validated copy of the matrix took it to 2.5 and a
+    16-byte-record unique to 4.6."""
     matrix = doubled_family(build_nonpavable_general(2, 4), 6).vectors
-    peak = _traced_peak(lambda: write_matrix_csv(matrix, tmp_path / "m.csv"))
-    assert peak <= 3.5 * matrix.nbytes
+    peak = traced_peak(lambda: write_matrix_csv(matrix, tmp_path / "m.csv"))
+    assert peak <= 2 * matrix.nbytes
 
 
 def test_csv_write_formats_before_opening(tmp_path, monkeypatch):

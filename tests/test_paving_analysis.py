@@ -315,6 +315,21 @@ def test_certificate_numbers_must_be_real(bad):
         Witness(1, 0, (0,), np.array([1.0 + 0j]), bad)
 
 
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_certificate_refuses_an_int_too_large_for_a_float(huge):
+    """float() of such an int raises OverflowError; it is refused with the
+    same ValueError as an infinite bound."""
+    p = partition_from_assignment([0, 1], 2)
+    with pytest.raises(ValueError, match="^part bound must be finite, got "):
+        RieszCertificate(p, (huge, 0.7))
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_witness_refuses_an_int_too_large_for_a_float(huge):
+    with pytest.raises(ValueError, match="^achieved_norm_sq must be finite and >= 0, got "):
+        Witness(1, 0, (0,), np.array([1 + 0j]), huge)
+
+
 def test_certificate_numbers_are_stored_as_floats():
     cert = RieszCertificate(partition_from_assignment([0, 1, 1], 3), (np.float64(0.5), 1, None))
     assert [type(b) for b in cert.part_bounds] == [float, float, type(None)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from nonpaving import build_nonpavable_general, dft_matrix, write_matrix_csv
-from nonpaving.cli import main
+from nonpaving.cli import _verification_report, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -66,3 +66,13 @@ def test_verify_report_bytes_are_pinned(name, tmp_path, capsys):
     assert code == CASES[name][2]
     assert ("verification failed" in err) == (code == 3)
     assert out.read_bytes() == (DATA / f"verify_{name}.json").read_bytes()
+
+
+def test_verification_report_peak_memory_is_near_its_projection(traced_peak):
+    """The 1024 x 1024 P of the (8, 16) family (16 MiB), then one 4 MiB
+    panel of P^2 - P and its moduli: about 1.4 P sizes, where a second
+    Hermitized buffer in gram and the whole P @ P - P held 2.5."""
+    matrix = build_nonpavable_general(8, 16).vectors
+    p_bytes = 16 * matrix.shape[0] ** 2
+    peak = traced_peak(lambda: _verification_report(matrix, 1e-10, 1e-8))
+    assert peak <= 1.5 * p_bytes
