@@ -21,16 +21,20 @@ shifts and reflections of the row index of every block, starting from a
 structured incumbent. Orbits of the leaves near the best are re-evaluated,
 so it reports exactly what a walk over every partition in enumeration order
 reports, its first partition above a certify threshold included (the walk
-stops at its first leaf above it), while computing 155 part bounds for
+stops at its first leaf above it), while computing 154 part bounds for
 (2, 4) instead of two per partition.
+
 Sampled certification keeps its draws as one label array and checks them
 with stacked eigensolves, grouped by part size. A draw puts r^2 n rows of
 C^{rn} into r parts, so its largest part holds at least rn rows, and more
-(a singular Gram, whose bound is at rounding level) unless every part holds
-exactly rn. That part's bound, solved first, caps the draw's value, and all
-parts are solved only for draws that could fail or be the worst
-(`_sampled_values`), so every value is bit for bit what `riesz_lower_bound`
-computes.
+unless every part holds exactly rn. The bound of that part caps the draw's
+value, and all parts are solved only for draws that could fail or be the
+worst (`_sampled_values`), so every value is bit for bit what
+`riesz_lower_bound` computes. A part of more than rn rows has an exactly
+singular Gram, and its computed bound is at most the rank cap
+`_prune_margin(G)` (proved there), so such a largest part stands at the
+cap unsolved until a threshold or the worst value could be at or below the
+cap; the walk cuts a prefix holding such a part the same way.
 """
 
 import math
@@ -188,6 +192,19 @@ def _prune_margin(G: np.ndarray) -> float:
     computed for any subset of it by less than twice that error, which is
     the margin; the slack in p also covers the roundings of ||G||_F and of
     the sums the margin enters.
+
+    The margin is also the cap: for G = `gram(V)` with V of d columns, the
+    bound computed for a part of more than d rows is at most the margin.
+    The part's exact Gram H = V_P V_P^* has rank at most d, so
+    lambda_min(H) = 0, and the part matrix gathered from G is H + E. Each
+    entry of `gram` is a complex d-term dot product, Hermitized, so it is
+    off by at most (sqrt(2) gamma_{d+2} + u) |v_i| |v_j|, with u = eps / 2
+    and |v_i| the norm of row i. So ||E||_2 is at most that factor times
+    ||(|v_i| |v_j|)||_2 = tr(H) <= sqrt(d) ||G||_F (H has at most d nonzero
+    eigenvalues), and with d < M this gram term is below 1.5 M^2 eps ||G||_F.
+    By Weyl, lambda_min(H + E) <= ||E||_2, and eigvalsh adds at most its
+    backward error, half the margin. The computed bound is then below
+    (1.5 + 4) M^2 eps ||G||_F, under the margin's 8 M^2 eps ||G||_F.
     """
     size = G.shape[0]
     return 2.0 * 4.0 * size * size * _EPS * float(np.linalg.norm(G))
@@ -206,7 +223,8 @@ class _SearchResult:
     part_bounds its per-part bounds (None for empty parts), exactly as
     `riesz_lower_bound` computes them, and value their minimum; nodes counts the
     label prefixes examined (one eigensolve each), rejected the prefixes the
-    symmetry test dropped before any eigensolve, and eigensolves every part
+    symmetry test dropped before any eigensolve, rank_cut the prefixes cut
+    for a singular part before any eigensolve, and eigensolves every part
     bound computed, the incumbent's and the orbit re-evaluation's included.
     """
 
@@ -215,6 +233,7 @@ class _SearchResult:
     nodes: int
     eigensolves: int
     rejected: int
+    rank_cut: int
 
     value = property(_min_part_bound)
 
@@ -300,6 +319,7 @@ def _partition_search(
     num_parts: int,
     threshold: float = math.inf,
     family: StackedDftFrame | None = None,
+    dim: int | None = None,
 ) -> _SearchResult:
     """Max over labeled partitions of the min nonempty-part Riesz bound.
 
@@ -332,6 +352,16 @@ def _partition_search(
     `threshold`. The images of the pooled leaves under the row maps are
     then evaluated too, and the pool (pooled leaves and images, each a
     distinct labeling) is taken in label order.
+
+    Rank cut. G is the Gram of vectors in C^dim (dim defaults to M, which
+    cuts nothing). Once a part would hold more than dim rows, every leaf
+    below computes a value at most cap = `_prune_margin(G)` (see there), so
+    while cap + w < level the prefix is cut before its eigensolve. No leaf
+    it drops is pooled or above the threshold, and no labeling of value
+    V >= level has such a part (V > cap), nor has the least member of its
+    orbit, whose parts have the same sizes; so the argument below holds
+    unchanged. Below that level (a threshold at rounding noise) the walk
+    solves the part as before.
 
     Window. eigvalsh returns a part bound within e = `_prune_margin(G)` / 2
     of the exact one (see there). An image H' of a part matrix H under a
@@ -366,6 +396,7 @@ def _partition_search(
     against their budget before forming G.
     """
     margin = _prune_margin(G)
+    dim = G.shape[0] if dim is None else dim
     maps, window, best, solved = [], 0.0, -math.inf, 0
     if family is not None:
         incumbents = _sampled_part_bounds(G, _structured_labelings(family, num_parts), num_parts)
@@ -378,19 +409,22 @@ def _partition_search(
     values = [math.inf] * num_parts  # bound of each part; inf while empty
     labels = [0] * G.shape[0]
     leaves = []
-    nodes = rejected = 0
+    nodes = rejected = rank_cut = 0
 
     def descend(i: int, used: int, alive: list) -> bool:
         """Walk the children of labels[:i]; True once a leaf above the threshold is met."""
-        nonlocal level, nodes, rejected
+        nonlocal level, nodes, rejected, rank_cut
         for j in range(min(used + 1, num_parts)):
+            part = parts[j]
+            if len(part) >= dim and margin + window < level:
+                rank_cut += 1
+                continue
             labels[i] = j
             live = _undecided_maps(labels, i, alive)
             if live is None:
                 rejected += 1
                 continue
             nodes += 1
-            part = parts[j]
             part.append(i)
             before = values[j]
             values[j] = _eig_min(G.take(part, 0).take(part, 1))
@@ -420,7 +454,7 @@ def _partition_search(
         pool.update(zip(images, bounds.tolist()))
     labels = sorted(pool)
     partition, part_bounds = _select(labels, [pool[lab] for lab in labels], num_parts, threshold)
-    return _SearchResult(partition, part_bounds, nodes, nodes + solved, rejected)
+    return _SearchResult(partition, part_bounds, nodes, nodes + solved, rejected, rank_cut)
 
 
 def best_partition_riesz(
@@ -438,7 +472,7 @@ def best_partition_riesz(
     """
     _check_assignment_budget(family.count, num_parts, budget)
     stacked = family if isinstance(family, StackedDftFrame) else None
-    result = _partition_search(gram(family.vectors), num_parts, family=stacked)
+    result = _partition_search(gram(family.vectors), num_parts, family=stacked, dim=family.dim)
     return result.partition, result.value
 
 
@@ -728,58 +762,70 @@ class CertificationSummary:
         }
 
 
-def _members(mask: np.ndarray) -> np.ndarray:
-    """Sorted column indices of the True entries of each row of `mask`.
+def _label_bounds(G: np.ndarray, labels: np.ndarray, targets: np.ndarray,
+                  sizes: np.ndarray) -> np.ndarray:
+    """Riesz bound of the rows each draw gives its target label, inf where it gives none.
 
-    Every row must hold the same number s of them; the result is (rows, s).
+    labels is a (draws, M) array, targets a label per draw, and sizes[d]
+    the number of rows draw d gives targets[d]; a draw of size 0 is skipped.
+    Selections of equal size are gathered into (B, s, s) stacks of
+    principal submatrices, each within _STACK_BYTES, and solved by one
+    eigvalsh call per stack, which gives each the bits `riesz_lower_bound`
+    computes for it. The rows of a stack are found from its draws alone,
+    so no draws x M mask is formed.
     """
-    return np.nonzero(mask)[1].reshape(mask.shape[0], -1)
-
-
-def _mask_bounds(G: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Riesz bound of the rows each row of `mask` selects, inf where it selects none.
-
-    mask is a boolean (draws, M) array. Selections of equal size are
-    gathered into (B, s, s) stacks of principal submatrices, each within
-    _STACK_BYTES, and solved by one eigvalsh call per stack, which gives
-    each the bits `riesz_lower_bound` computes for it.
-    """
-    bounds = np.full(mask.shape[0], np.inf)
-    sizes = mask.sum(axis=1)
+    bounds = np.full(len(labels), np.inf)
     for s in np.unique(sizes[sizes > 0]):
         draws, step = np.flatnonzero(sizes == s), max(1, _STACK_BYTES // (16 * s * s))
         for start in range(0, len(draws), step):
             chunk = draws[start:start + step]
-            idx = _members(mask[chunk])
+            idx = np.nonzero(labels[chunk] == targets[chunk, None])[1].reshape(len(chunk), s)
             bounds[chunk] = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])[:, 0]
     return bounds
+
+
+def _tallies(labels: np.ndarray, num_parts: int) -> np.ndarray:
+    """Rows each draw gives each label: (draws, num_parts)."""
+    return np.stack([(labels == j).sum(axis=1) for j in range(num_parts)], axis=1)
 
 
 def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> np.ndarray:
     """Riesz bound of every part of every drawn labeling, inf for empty parts.
 
     labels is (count, M); the result is (count, num_parts), one
-    `_mask_bounds` column per label.
+    `_label_bounds` column per label.
     """
-    return np.stack([_mask_bounds(G, labels == j) for j in range(num_parts)], axis=1)
+    tallies = _tallies(labels, num_parts)
+    return np.stack([_label_bounds(G, labels, np.full(len(labels), j), tallies[:, j])
+                     for j in range(num_parts)], axis=1)
 
 
 def _sampled_values(
-    G: np.ndarray, labels: np.ndarray, num_parts: int, threshold: float
+    G: np.ndarray, labels: np.ndarray, num_parts: int, threshold: float, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Part bounds of the draws that could fail the threshold or be the worst.
 
     A draw's value is the min of its parts' bounds, so the bound of its
-    largest part (ties to the lowest label), computed first for every draw
-    with the bits `_sampled_part_bounds` gives it, is an upper bound U on
-    it. All part bounds are computed (the draw is settled) for every draw
-    with U > threshold and for the draws of largest U, in batches of 1, 2,
-    4, ... draws in order of decreasing U (ties in draw order), until the
-    next draw's U is below the largest settled value. Doubling batches
-    settle at most about twice the draws whose U reaches the largest value,
-    in a few stacked calls. (Settling every draw whose U reaches the best
-    value so far settled 9,494 of 10,000 (3, 2) draws on one seed, whose
-    draw of largest U has a small value.)
+    largest part (ties to the lowest label), with the bits
+    `_sampled_part_bounds` gives it, is an upper bound U on it. All part
+    bounds are computed (the draw is settled) for every draw with
+    U > threshold and for the draws of largest U, in batches of 1, 2, 4,
+    ... draws in order of decreasing U (ties in draw order), until the next
+    draw's U is below the largest settled value. Doubling batches settle at
+    most about twice the draws whose U reaches the largest value, in a few
+    stacked calls. (Settling every draw whose U reaches the best value so
+    far settled 9,494 of 10,000 (3, 2) draws on one seed, whose draw of
+    largest U has a small value.)
+
+    Rank cap. G is the Gram of vectors in C^dim, so a largest part of more
+    than dim rows is singular and its computed bound is at most
+    cap = `_prune_margin(G)` (see there). While cap < threshold, such a
+    draw's U is not solved: it stands at cap in the order, which keeps it
+    below the threshold and stops the loop before it once a settled value
+    is above cap. Only a loop that reaches it (no settled value above cap,
+    as when every value is rounding noise) solves those U first, and from
+    there on goes as if every U had been solved at the start. Of 10,000
+    (3, 2) draws on one seed, 9,524 have a singular largest part.
 
     Returns the settled draws' indices, in draw order, and their part
     bounds (settled x num_parts, inf for empty parts). Every draw above the
@@ -787,13 +833,20 @@ def _sampled_values(
     settled value, so the first of them above the threshold and the first
     of largest value are those a pass over every part of every draw finds.
     """
-    tallies = np.stack([(labels == j).sum(axis=1) for j in range(num_parts)], axis=1)
-    upper = _mask_bounds(G, labels == tallies.argmax(axis=1)[:, None])
+    tallies = _tallies(labels, num_parts)
+    lead, most, cap = tallies.argmax(axis=1), tallies.max(axis=1), _prune_margin(G)
+    capped = (most > dim) & (cap < threshold)
+    upper = _label_bounds(G, labels, lead, np.where(capped, 0, most))
+    upper[capped] = cap
     bounds = np.empty((len(upper), num_parts))
     settled = np.zeros(len(upper), dtype=bool)
     chosen = upper > threshold
     order, end = np.argsort(-upper, kind="stable"), 0
     while True:
+        if capped[order[end:2 * end + 1]].any():
+            upper[capped] = _label_bounds(G, labels, lead, np.where(capped, most, 0))[capped]
+            capped[:] = False
+            order = np.argsort(-upper, kind="stable")
         chosen[order[end:2 * end + 1]] = True
         end = 2 * end + 1
         draws = np.flatnonzero(chosen & ~settled)
@@ -819,7 +872,12 @@ def certify_nonpavable(
     using the Philox stream for `seed` and checks them in stacks: the bound
     of each draw's largest part caps its value, and all its part bounds are
     computed only where that cap exceeds the threshold or reaches the
-    largest value computed (`_sampled_values`). Each partition must
+    largest value computed (`_sampled_values`). A largest part of more than
+    rn rows is singular, so its computed bound is at most the rank cap
+    `_prune_margin(G)` (proved there), and it is solved only when the
+    threshold or the largest value computed is at most the cap. The walk
+    cuts a prefix holding such a part the same way, and both modes report
+    the bytes that solving every part gives. Each partition must
     satisfy min-part bound <= max(delta_1..delta_{r-1}) + 1e-8. `_select`
     applies the rule, in enumeration or draw order: CertificationError
     carries the first partition that does not, and otherwise the
@@ -840,7 +898,7 @@ def certify_nonpavable(
             raise ValueError("count applies only to sampled mode")
         seed = None
         _check_assignment_budget(family.count, r, budget)
-        res = _partition_search(gram(family.vectors), r, threshold=threshold, family=family)
+        res = _partition_search(gram(family.vectors), r, threshold, family, family.dim)
         partition, part_bounds = res.partition, res.part_bounds
     elif mode == "sampled":
         count = _as_int(count, "count", 1)
@@ -849,7 +907,7 @@ def certify_nonpavable(
         # Philox is counter-based: the stream is a pure function of the seed.
         rng = np.random.Generator(np.random.Philox(seed))
         labels = rng.integers(0, r, size=(count, family.count))
-        draws, bounds = _sampled_values(gram(family.vectors), labels, r, threshold)
+        draws, bounds = _sampled_values(gram(family.vectors), labels, r, threshold, family.dim)
         partition, part_bounds = _select(labels[draws], bounds, r, threshold)
     else:
         raise ValueError(f'mode must be "exhaustive" or "sampled", got {mode!r}')

@@ -8,6 +8,7 @@ check (tests/test_block_structure.py) proves every other one.
 """
 
 import bisect
+import itertools
 import json
 import math
 from pathlib import Path
@@ -124,26 +125,33 @@ def test_prune_margin_covers_every_computed_rise():
 
 
 @pytest.mark.parametrize(
-    "n, nodes, eigensolves, rejected", [(3, 61, 65, 20), (4, 151, 155, 48)]
+    "n, nodes, eigensolves, rejected, rank_cut",
+    [(3, 60, 64, 17, 4), (4, 150, 154, 45, 4)],
+    ids=["r2n3", "r2n4"],
 )
-def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected):
+def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected, rank_cut):
     """Against 2**(4n) partitions with two eigensolves each in the flat walk.
 
     nodes are the lex-leader prefixes examined, one eigensolve each;
     eigensolves add the four part bounds of the two structured incumbents
-    (the alternating split's orbit is itself, so no image is re-evaluated).
-    Without the row group and incumbent the walk took 1,090 and 6,914 nodes.
+    (the alternating split's orbit is itself, so no image is re-evaluated);
+    rank_cut counts the prefixes whose appended part would hold more than
+    2n rows, cut before the symmetry test and the eigensolve. Without the
+    row group and incumbent the walk took 1,090 and 6,914 nodes; without
+    the rank cut, 61 and 151 nodes with 20 and 48 rejected.
     """
     family = build_nonpavable_general(2, n)
-    result = pa._partition_search(gram(family.vectors), 2, family=family)
-    assert (result.nodes, result.eigensolves, result.rejected) == (nodes, eigensolves, rejected)
+    result = pa._partition_search(gram(family.vectors), 2, family=family, dim=family.dim)
+    assert (result.nodes, result.eigensolves, result.rejected, result.rank_cut) == (
+        nodes, eigensolves, rejected, rank_cut)
 
 
 def test_exhaustive_job_set_eigensolves_are_pinned(tmp_path, capsys, monkeypatch):
     """Matrices solved by eigvalsh in the benchmark's exhaustive job set:
     certify (2, 4), then sweep r = 2 over n = 1..4 (five builds' tightness
-    checks included). The walk without row group and incumbent solved
-    15,145; the flat walk two per partition, 270,880."""
+    checks included). Without the rank cut the walk solved 428; without
+    row group and incumbent, 15,145; the flat walk two per partition,
+    270,880."""
     real = np.linalg.eigvalsh
     solved = []
 
@@ -157,17 +165,20 @@ def test_exhaustive_job_set_eigensolves_are_pinned(tmp_path, capsys, monkeypatch
     assert main(["sweep", "--r", "2", "--n-list", "1,2,3,4",
                  "--out", str(tmp_path / "s.csv")]) == 0
     capsys.readouterr()
-    assert sum(solved) == 428
+    assert sum(solved) == 423
 
 
 def test_search_reaches_the_recorded_r3_n2_maximum():
     """3**18 partitions, over the default budget; the flat walk's recorded
     first maximum is 0.34054302431686606, while the canonical leaf of its
-    orbit computes 0.340543024316866, so the orbit re-evaluation decides."""
+    orbit computes 0.340543024316866, so the orbit re-evaluation decides.
+    Without the rank cut the walk took 7,388 nodes, 7,418 eigensolves and
+    746 rejected prefixes."""
     family = build_nonpavable_general(3, 2)
-    result = pa._partition_search(gram(family.vectors), 3, family=family)
+    result = pa._partition_search(gram(family.vectors), 3, family=family, dim=family.dim)
     assert result.value == 0.34054302431686606
-    assert (result.nodes, result.eigensolves, result.rejected) == (7388, 7418, 746)
+    assert (result.nodes, result.eigensolves, result.rejected, result.rank_cut) == (
+        6899, 6929, 669, 566)
     bounds = tuple(riesz_lower_bound(family, p) if p else None for p in result.partition.parts)
     assert result.part_bounds == bounds
 
@@ -253,8 +264,11 @@ def test_certify_reports_flat_first_failure_before_witnesses(tmp_path, capsys, m
 @pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (3, 1)])
 def test_row_reduced_threshold_search_matches_flat_walk(r, n):
     """At, just below and just above every distinct flat value, the walk
-    with the row group raises with the flat walk's first partition above
-    the threshold, or returns its first maximizer when there is none."""
+    with the row group, with and without the rank cut, raises with the flat
+    walk's first partition above the threshold, or returns its first
+    maximizer when there is none. Every value of a split with a part of
+    more than rn rows is rounding noise, so thresholds at those values put
+    the level below the rank cap, where the walk solves those parts."""
     family = build_nonpavable_general(r, n)
     G = gram(family.vectors)
     maps, _ = pa._row_group(G, r * n, pa._prune_margin(G))
@@ -267,23 +281,24 @@ def test_row_reduced_threshold_search_matches_flat_walk(r, n):
     first_from = [len(flat)] * (len(values) + 1)  # first labeling with a value in values[k:]
     for k in reversed(range(len(values))):
         first_from[k] = min(first_at[values[k]], first_from[k + 1])
-    for v in values:
-        for threshold in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)):
-            i = first_from[bisect.bisect_right(values, threshold)]
-            if i == len(flat):
-                result = pa._partition_search(G, r, threshold=threshold, family=family)
-                assert (result.partition.parts, result.value) == flat[first_at[values[-1]]]
-                continue
-            with pytest.raises(CertificationError) as info:
-                pa._partition_search(G, r, threshold=threshold, family=family)
-            assert info.value.partition.parts == flat[i][0]
-            assert str(info.value) == f"partition keeps min-part bound {flat[i][1]} above {threshold}"
+    thresholds = [t for v in values
+                  for t in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))]
+    for dim, threshold in itertools.product((None, r * n), thresholds):
+        i = first_from[bisect.bisect_right(values, threshold)]
+        if i == len(flat):
+            result = pa._partition_search(G, r, threshold=threshold, family=family, dim=dim)
+            assert (result.partition.parts, result.value) == flat[first_at[values[-1]]]
+            continue
+        with pytest.raises(CertificationError) as info:
+            pa._partition_search(G, r, threshold=threshold, family=family, dim=dim)
+        assert info.value.partition.parts == flat[i][0]
+        assert str(info.value) == f"partition keeps min-part bound {flat[i][1]} above {threshold}"
 
 
 def test_failing_search_stops_at_its_first_failing_leaf(monkeypatch):
-    """(3, 2) at threshold 0.3: the walk meets a leaf above it after 6,309
-    of the 7,388 nodes a full walk takes (one part bound each), and goes
-    no further."""
+    """(3, 2) at threshold 0.3: the walk meets a leaf above it after 5,843
+    of the 6,899 nodes a full walk takes (one part bound each), and goes
+    no further. Without the rank cut it took 6,309 of 7,388."""
     family = build_nonpavable_general(3, 2)
     real = pa._eig_min
     nodes = []
@@ -294,5 +309,6 @@ def test_failing_search_stops_at_its_first_failing_leaf(monkeypatch):
 
     monkeypatch.setattr(pa, "_eig_min", counting)
     with pytest.raises(CertificationError, match="bound 0.340543024316866 above 0.3"):
-        pa._partition_search(gram(family.vectors), 3, threshold=0.3, family=family)
-    assert len(nodes) == 6309
+        pa._partition_search(gram(family.vectors), 3, threshold=0.3, family=family,
+                             dim=family.dim)
+    assert len(nodes) == 5843
