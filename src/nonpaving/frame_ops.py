@@ -22,8 +22,6 @@ from .matrix_core import (
     _column_pass,
     as_complex_matrix,
     gram,
-    hermitian_extremal_eig,
-    require_hermitian,
     row_square_sums,
 )
 
@@ -33,8 +31,10 @@ __all__ = [
     "frame_bounds",
     "is_tight_frame",
     "projection_from_tight_frame",
-    "complement_duality_check",
 ]
+
+# Absolute deviation max|P - P^*| a ProjectionMatrix allows.
+HERMITIAN_TOL = 1e-12
 
 # Tolerance of the one tightness rule (`_require_tight`), and of
 # eigenvalue-based checks generally.
@@ -74,9 +74,10 @@ class FrameFamily:
 class ProjectionMatrix:
     """A Hermitian idempotent matrix with its rank and optional constant diagonal.
 
-    Construction validates Hermitian structure, idempotency (max|P^2 - P|
-    below 1e-8), a trace within 1e-6 of the rank, and, when diag_constant is
-    given, that every diagonal entry matches it within 1e-10.
+    Construction validates a square Hermitian matrix (max|P - P^*| at most
+    HERMITIAN_TOL), idempotency (max|P^2 - P| below 1e-8), a trace within
+    1e-6 of the rank, and, when diag_constant is given, that every diagonal
+    entry matches it within 1e-10.
     """
 
     matrix: np.ndarray
@@ -84,7 +85,12 @@ class ProjectionMatrix:
     diag_constant: float | None = None
 
     def __post_init__(self):
-        P = require_hermitian(self.matrix)
+        P = as_complex_matrix(self.matrix)
+        if P.shape[0] != P.shape[1]:
+            raise ValueError(f"matrix is not square: shape {P.shape}")
+        dev = float(np.max(np.abs(P - P.conj().T))) if P.size else 0.0
+        if dev > HERMITIAN_TOL:
+            raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
         object.__setattr__(self, "matrix", P)
         object.__setattr__(self, "rank", _as_int(self.rank, "rank"))
         if self.diag_constant is not None:
@@ -238,32 +244,3 @@ def projection_from_tight_frame(family: FrameFamily, tightness: float) -> Projec
     diag_constant = 1.0 / tightness if unit_rows else None
     return ProjectionMatrix(P, family.dim, diag_constant)
 
-
-def _validate_subset(subset, dim: int) -> list[int]:
-    idx = sorted(_as_int(i, "subset index") for i in subset)
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= dim:
-        raise ValueError(f"subset indices must lie in [0, {dim})")
-    if len(set(idx)) != len(idx):
-        raise ValueError("subset indices must be distinct")
-    return idx
-
-
-def complement_duality_check(proj: ProjectionMatrix, subset) -> tuple[float, float]:
-    """(lambda_min of P on the subset, lambda_max of I-P on the subset).
-
-    For an orthogonal projection P and any principal subset A, compressing
-    P and its complement to A gives lambda_min(P|_A) + lambda_max((I-P)|_A)
-    = 1. The identity is asserted to 1e-8 before returning; a violation
-    means an eigensolver bug, not a property of the input.
-    """
-    idx = _validate_subset(subset, proj.dim)
-    sub = proj.matrix[np.ix_(idx, idx)]
-    riesz_side = hermitian_extremal_eig(sub, "min")
-    paving_side = hermitian_extremal_eig(np.eye(len(idx), dtype=np.complex128) - sub, "max")
-    if abs(riesz_side + paving_side - 1.0) > 1e-8:
-        raise InternalInconsistencyError(
-            f"duality identity violated: {riesz_side} + {paving_side} != 1"
-        )
-    return riesz_side, paving_side

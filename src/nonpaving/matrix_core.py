@@ -1,9 +1,9 @@
 """Dense complex matrix substrate.
 
 Construction of unitary DFT matrices, column rescaling, Gram matrices,
-extremal eigenvalues of Hermitian matrices, and the matrix CSV interchange
-format used by the command line tools. Matrices are numpy complex128 arrays;
-functions here return read-only arrays so results behave as values.
+column checks, and the matrix CSV interchange format used by the command
+line tools. Matrices are numpy complex128 arrays; functions here return
+read-only arrays so results behave as values.
 
 Conventions, fixed once:
   * indices are zero-based everywhere;
@@ -22,20 +22,15 @@ from .serialize import format_complex
 
 __all__ = [
     "as_complex_matrix",
-    "require_hermitian",
     "dft_matrix",
     "scale_columns",
     "gram",
-    "hermitian_extremal_eig",
     "column_orthogonality_defect",
     "row_square_sums",
     "col_square_sums",
     "write_matrix_csv",
     "read_matrix_csv",
 ]
-
-# Absolute deviation allowed between H and its conjugate transpose.
-HERMITIAN_TOL = 1e-12
 
 # Bytes of each of gram's two block buffers: 128 x 128 complex entries.
 _BLOCK_BYTES = 256 * 1024
@@ -69,20 +64,6 @@ def _as_operand(a) -> np.ndarray:
     complex128 array, else a converted copy. The copy that keeps a stored
     matrix from changing under its holder is not needed for a read."""
     return _checked(np.asarray(a, dtype=np.complex128, order="C"))
-
-
-def require_hermitian(h) -> np.ndarray:
-    """Return h as a validated square Hermitian matrix.
-
-    The deviation max|H - H^*| must not exceed HERMITIAN_TOL (absolute).
-    """
-    H = as_complex_matrix(h)
-    if H.shape[0] != H.shape[1]:
-        raise ValueError(f"matrix is not square: shape {H.shape}")
-    dev = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
-    return H
 
 
 def _as_int(value, what: str, low: int | None = None) -> int:
@@ -178,17 +159,6 @@ def gram(f) -> np.ndarray:
             upper += conj_lower
     G *= 0.5
     return _frozen(G)
-
-
-def hermitian_extremal_eig(h, which: str) -> float:
-    """Smallest (which="min") or largest (which="max") eigenvalue of a Hermitian matrix."""
-    if which not in ("min", "max"):
-        raise ValueError(f'which must be "min" or "max", got {which!r}')
-    H = require_hermitian(h)
-    if H.shape[0] == 0:
-        raise ValueError("matrix must be at least 1 x 1")
-    w = np.linalg.eigvalsh(H)
-    return float(w[0] if which == "min" else w[-1])
 
 
 def _column_pass(V: np.ndarray) -> tuple[float, float, float, np.ndarray]:

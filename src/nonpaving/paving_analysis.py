@@ -44,7 +44,7 @@ import numpy as np
 
 from .constructions import StackedDftFrame
 from .errors import CertificationError, InternalInconsistencyError
-from .frame_ops import FrameFamily, _validate_subset
+from .frame_ops import FrameFamily
 from .matrix_core import _as_int, _check_budget, _require_indexable, dft_matrix, gram
 
 __all__ = [
@@ -162,6 +162,17 @@ def _check_assignment_budget(size: int, num_parts: int, budget: int) -> None:
 
 def _eig_min(H: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(H)[0])
+
+
+def _validate_subset(subset, dim: int) -> list[int]:
+    idx = sorted(_as_int(i, "subset index") for i in subset)
+    if not idx:
+        raise ValueError("subset must be nonempty")
+    if idx[0] < 0 or idx[-1] >= dim:
+        raise ValueError(f"subset indices must lie in [0, {dim})")
+    if len(set(idx)) != len(idx):
+        raise ValueError("subset indices must be distinct")
+    return idx
 
 
 def riesz_lower_bound(family: FrameFamily, subset) -> float:

@@ -125,6 +125,27 @@ def closed_form_r2(n):
 
 
 # ---------------------------------------------------------------------------
+# column checks of a family, one column or one pair of columns at a time
+# ---------------------------------------------------------------------------
+
+def column_square_sums_by_columns(vectors):
+    """Sum of squared entry moduli down each column, one column at a time."""
+    v = np.asarray(vectors, dtype=complex)
+    return np.array([float(np.sum(np.abs(v[:, j]) ** 2)) for j in range(v.shape[1])])
+
+
+def column_orthogonality_defect_by_pairs(vectors):
+    """Largest |<col_i, col_j>| over i < j, one np.vdot per pair; 0.0 for
+    a single column."""
+    v = np.asarray(vectors, dtype=complex)
+    cols = v.shape[1]
+    return max(
+        (abs(np.vdot(v[:, j], v[:, i])) for i in range(cols) for j in range(i + 1, cols)),
+        default=0.0,
+    )
+
+
+# ---------------------------------------------------------------------------
 # exact rational values for the column-weight schedule
 # ---------------------------------------------------------------------------
 

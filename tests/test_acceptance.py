@@ -2,9 +2,12 @@
 
 Each test prints one PASS/FAIL line (run pytest with -s to see them on
 success). The criteria pin construction fidelity, the projection bridge,
-exhaustive and sampled non-pavability certificates, witness soundness, the
-duality identity, the doubling map, degenerate-input flagging, and CLI
-determinism, each at its stated tolerance and runtime budget.
+exhaustive and sampled non-pavability certificates, witness soundness, a
+certificate re-checked from its JSON file alone, the doubling map,
+degenerate-input flagging, and CLI determinism, each at its stated tolerance
+and runtime budget. The column checks (criteria 1, 2 and 8) and the re-check
+(criterion 6) use the independent oracles of tests/oracles.py, not the
+package's own helpers.
 """
 
 import json
@@ -17,9 +20,6 @@ from nonpaving import (
     build_nonpavable_general,
     best_partition_riesz,
     certify_nonpavable,
-    col_square_sums,
-    column_orthogonality_defect,
-    complement_duality_check,
     delta_schedule,
     dft_matrix,
     doubled_family,
@@ -34,6 +34,14 @@ from nonpaving import (
 )
 from nonpaving.cli import main as cli_main
 
+from oracles import (
+    closed_form_r2,
+    column_orthogonality_defect_by_pairs,
+    column_square_sums_by_columns,
+    delta_fraction,
+    jacobi_hermitian_eigenvalues,
+)
+
 
 def report(num, ok, detail):
     print(f"CRITERION {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -45,9 +53,11 @@ def test_criterion_1_two_block_construction_fidelity():
     worst_defect = worst_row = worst_col = 0.0
     for n in range(1, 17):
         fam = build_nonpavable_general(2, n)
-        worst_defect = max(worst_defect, column_orthogonality_defect(fam.vectors))
+        worst_defect = max(worst_defect, column_orthogonality_defect_by_pairs(fam.vectors))
         worst_row = max(worst_row, float(np.max(np.abs(row_square_sums(fam.vectors) - 1.0))))
-        worst_col = max(worst_col, float(np.max(np.abs(col_square_sums(fam.vectors) - 2.0))))
+        worst_col = max(
+            worst_col, float(np.max(np.abs(column_square_sums_by_columns(fam.vectors) - 2.0)))
+        )
     elapsed = time.perf_counter() - start
     ok = worst_defect <= 1e-10 and worst_row <= 1e-10 and worst_col <= 1e-10 and elapsed < 1.0
     report(
@@ -68,7 +78,7 @@ def test_criterion_2_general_r_fidelity():
                 worst_row, float(np.max(np.abs(row_square_sums(fam.vectors) - 1.0)))
             )
             worst_col = max(
-                worst_col, float(np.max(np.abs(col_square_sums(fam.vectors) - r)))
+                worst_col, float(np.max(np.abs(column_square_sums_by_columns(fam.vectors) - r)))
             )
             sched = delta_schedule(r, n)
             worst_total = max(worst_total, abs(sum(sched.deltas) - r))
@@ -187,17 +197,46 @@ def test_criterion_5_witness_soundness():
     )
 
 
-def test_criterion_6_duality_identity():
-    proj = projection_from_tight_frame(build_nonpavable_general(2, 3), 2.0)
-    rng = np.random.Generator(np.random.Philox(63))
-    worst = 0.0
-    for _ in range(500):
-        size = int(rng.integers(1, proj.dim + 1))
-        subset = rng.choice(proj.dim, size=size, replace=False)
-        riesz_side, paving_side = complement_duality_check(proj, subset)
-        worst = max(worst, abs(riesz_side + paving_side - 1.0))
-    ok = worst <= 1e-8
-    report(6, ok, f"r=2 n=3 projection, 500 seeded subsets: identity dev {worst:.2e}")
+def test_criterion_6_duality_identity(tmp_path, capsys):
+    """An exhaustive (2, 3) certificate re-checked from its JSON file alone,
+    against the oracles: the closed-form family, Jacobi part bounds and exact
+    delta values."""
+    path = tmp_path / "cert.json"
+    argv = ["certify", "--r", "2", "--n", "3", "--mode", "exhaustive", "--out", str(path)]
+    assert cli_main(argv) == 0
+    capsys.readouterr()
+    cert = json.loads(path.read_text(encoding="utf-8"))
+    vectors = closed_form_r2(3)
+    g = vectors @ vectors.conj().T
+    parts = cert["partition"]
+    covers = sorted(i for part in parts for i in part) == list(range(len(vectors)))
+    bound_dev = max(
+        abs(bound - jacobi_hermitian_eigenvalues(g[np.ix_(part, part)])[0])
+        for part, bound in zip(parts, cert["per_part_bounds"], strict=True)
+    )
+    wit = cert["witness"]
+    rows = wit["indices"]
+    in_part = set(rows) <= set(parts[wit["j"]])
+    coefficients = np.array([complex(re, im) for re, im in wit["coefficients"]])
+    unit_dev = abs(float(np.linalg.norm(coefficients)) - 1.0)
+    norm_dev = abs(float(np.sum(np.abs(coefficients @ vectors[rows]) ** 2)) - wit["achieved"])
+    margin = wit["achieved"] - float(delta_fraction(2, 3, wit["k"]))
+    ok = (
+        covers
+        and bound_dev <= 1e-12
+        and in_part
+        and unit_dev <= 1e-12
+        and norm_dev <= 1e-12
+        and margin <= 1e-8
+    )
+    report(
+        6,
+        ok,
+        f"r=2 n=3 exhaustive certificate from its JSON: partition covers rows {covers}, "
+        f"part-bound dev {bound_dev:.2e}, witness rows in part {in_part}, "
+        f"unit-coefficient dev {unit_dev:.2e}, witness norm dev {norm_dev:.2e}, "
+        f"achieved-delta margin {margin:.2e}",
+    )
 
 
 def test_criterion_7_doubling():
@@ -237,9 +276,10 @@ def test_criterion_8_degenerate_n1_flagged_vacuous():
     construction_ok = True
     for r in (2, 3, 4):
         fam = build_nonpavable_general(r, 1)
-        construction_ok &= column_orthogonality_defect(fam.vectors) <= 1e-10
+        construction_ok &= column_orthogonality_defect_by_pairs(fam.vectors) <= 1e-10
         construction_ok &= float(np.max(np.abs(row_square_sums(fam.vectors) - 1.0))) <= 1e-10
-        construction_ok &= float(np.max(np.abs(col_square_sums(fam.vectors) - r))) <= 1e-10
+        col_dev = float(np.max(np.abs(column_square_sums_by_columns(fam.vectors) - r)))
+        construction_ok &= col_dev <= 1e-10
         construction_ok &= all(d == 1.0 for d in fam.schedule.deltas)
         P = gram(fam.vectors / math.sqrt(r))
         construction_ok &= float(np.max(np.abs(P @ P - P))) <= 1e-8

@@ -9,8 +9,6 @@ from nonpaving import (
     ResourceLimitError,
     block_layout,
     build_nonpavable_general,
-    col_square_sums,
-    column_orthogonality_defect,
     delta_schedule,
     dft_matrix,
     doubled_family,
@@ -29,6 +27,8 @@ from nonpaving.cli import main
 
 from oracles import (
     closed_form_r2,
+    column_orthogonality_defect_by_pairs,
+    column_square_sums_by_columns,
     delta_fraction,
     doubling_by_blocks,
     gram_block_residual_by_pairs,
@@ -193,8 +193,8 @@ def test_r2_n2_shape_and_sums():
     fam = build_nonpavable_general(2, 2)
     assert fam.vectors.shape == (8, 4)
     npt.assert_allclose(row_square_sums(fam.vectors), np.ones(8), atol=1e-10)
-    npt.assert_allclose(col_square_sums(fam.vectors), 2.0 * np.ones(4), atol=1e-10)
-    assert column_orthogonality_defect(fam.vectors) <= 1e-10
+    npt.assert_allclose(column_square_sums_by_columns(fam.vectors), 2.0 * np.ones(4), atol=1e-10)
+    assert column_orthogonality_defect_by_pairs(fam.vectors) <= 1e-10
 
 
 def test_r2_n1_is_two_plain_dft_blocks():
@@ -216,8 +216,8 @@ def test_general_r3_n2_shape_and_sums():
     fam = build_nonpavable_general(3, 2)
     assert fam.vectors.shape == (18, 6)
     npt.assert_allclose(row_square_sums(fam.vectors), np.ones(18), atol=1e-10)
-    npt.assert_allclose(col_square_sums(fam.vectors), 3.0 * np.ones(6), atol=1e-10)
-    assert column_orthogonality_defect(fam.vectors) <= 1e-10
+    npt.assert_allclose(column_square_sums_by_columns(fam.vectors), 3.0 * np.ones(6), atol=1e-10)
+    assert column_orthogonality_defect_by_pairs(fam.vectors) <= 1e-10
 
 
 def test_general_zero_prefix_structure():

@@ -10,7 +10,6 @@ from nonpaving import (
     ProjectionMatrix,
     StackedDftFrame,
     build_nonpavable_general,
-    complement_duality_check,
     dft_matrix,
     frame_bounds,
     gram,
@@ -216,6 +215,22 @@ def test_projection_matrix_validates_rank_range():
             ProjectionMatrix(matrix.astype(complex), rank)
 
 
+def test_projection_matrix_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"not square: shape \(2, 3\)"):
+        ProjectionMatrix(np.zeros((2, 3), dtype=complex), 0)
+
+
+def test_projection_matrix_refuses_a_non_hermitian_matrix():
+    """A deviation max|P - P^*| just under HERMITIAN_TOL passes; ten times
+    it is refused, and the message gives the deviation and the tolerance."""
+    tol = frame_ops.HERMITIAN_TOL
+    ProjectionMatrix(np.array([[0.5, 0.5 + tol], [0.5, 0.5]], dtype=complex), 1)
+    with pytest.raises(ValueError, match=r"not Hermitian: deviation 1\.000e-11 > 1\.000e-12"):
+        ProjectionMatrix(np.array([[0.5, 0.5 + 10 * tol], [0.5, 0.5]], dtype=complex), 1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ProjectionMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 0)
+
+
 # ---------------------------------------------------------------------------
 # projection_numbers: P^2 - P one row panel at a time
 # ---------------------------------------------------------------------------
@@ -268,50 +283,3 @@ def test_panel_residual_keeps_a_nan(monkeypatch):
     P[8, 0] = np.nan  # in the last panel, after larger entries
     assert math.isnan(projection_numbers(P, None)["idempotency_residual"])
 
-
-# ---------------------------------------------------------------------------
-# complement_duality_check
-# ---------------------------------------------------------------------------
-
-def half_projection():
-    return ProjectionMatrix(
-        np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex), 1, diag_constant=0.5
-    )
-
-
-def test_duality_on_full_subset():
-    riesz, paving = complement_duality_check(half_projection(), [0, 1])
-    assert riesz == pytest.approx(0.0, abs=1e-12)
-    assert paving == pytest.approx(1.0, abs=1e-12)
-
-
-def test_duality_on_singleton():
-    riesz, paving = complement_duality_check(half_projection(), [0])
-    assert riesz == pytest.approx(0.5, abs=1e-12)
-    assert paving == pytest.approx(0.5, abs=1e-12)
-
-
-def test_duality_rejects_empty_subset():
-    with pytest.raises(ValueError):
-        complement_duality_check(half_projection(), [])
-
-
-def test_duality_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        complement_duality_check(half_projection(), [0, 2])
-
-
-def test_duality_rejects_duplicates():
-    with pytest.raises(ValueError):
-        complement_duality_check(half_projection(), [1, 1])
-
-
-def test_duality_sums_to_one_on_random_subsets():
-    proj = projection_from_tight_frame(build_nonpavable_general(2, 3), 2.0)
-    rng = np.random.default_rng(42)
-    dim = proj.dim
-    for _ in range(50):
-        size = int(rng.integers(1, dim + 1))
-        subset = rng.choice(dim, size=size, replace=False)
-        riesz, paving = complement_duality_check(proj, subset)
-        assert abs(riesz + paving - 1.0) <= 1e-8

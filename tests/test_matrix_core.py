@@ -13,7 +13,6 @@ from nonpaving import (
     column_orthogonality_defect,
     dft_matrix,
     gram,
-    hermitian_extremal_eig,
     read_matrix_csv,
     row_square_sums,
     scale_columns,
@@ -122,15 +121,16 @@ def test_gram_of_repeated_unit_row():
 def test_gram_of_dft_rows_is_identity():
     g = gram(dft_matrix(5))
     npt.assert_allclose(g, np.eye(5), atol=1e-13)
-    assert abs(hermitian_extremal_eig(g, "min") - 1.0) <= 1e-12
-    assert abs(hermitian_extremal_eig(g, "max") - 1.0) <= 1e-12
+    spectrum = jacobi_hermitian_eigenvalues(g)
+    assert abs(spectrum[0] - 1.0) <= 1e-12
+    assert abs(spectrum[-1] - 1.0) <= 1e-12
 
 
 def test_gram_positive_semidefinite_on_random_input():
     rng = np.random.default_rng(23)
     for rows, cols in [(4, 2), (7, 7), (3, 9)]:
         f = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        assert hermitian_extremal_eig(gram(f), "min") >= -1e-10
+        assert jacobi_hermitian_eigenvalues(gram(f))[0] >= -1e-10
 
 
 def _random_40x7():
@@ -187,43 +187,6 @@ def test_gram_leaves_its_input_unchanged():
     gram(f)
     assert f.tobytes() == before.tobytes()
     assert f.flags.writeable
-
-
-# ---------------------------------------------------------------------------
-# hermitian_extremal_eig
-# ---------------------------------------------------------------------------
-
-def test_extremal_eig_of_diagonal():
-    h = np.diag([0.25, 0.75]).astype(complex)
-    assert hermitian_extremal_eig(h, "min") == pytest.approx(0.25, abs=1e-14)
-    assert hermitian_extremal_eig(h, "max") == pytest.approx(0.75, abs=1e-14)
-
-
-def test_extremal_eig_of_all_ones():
-    h = np.ones((2, 2), dtype=complex)
-    assert hermitian_extremal_eig(h, "min") == pytest.approx(0.0, abs=1e-14)
-    assert hermitian_extremal_eig(h, "max") == pytest.approx(2.0, abs=1e-14)
-
-
-def test_extremal_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_extremal_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), "min")
-
-
-def test_extremal_eig_rejects_bad_which():
-    with pytest.raises(ValueError):
-        hermitian_extremal_eig(np.eye(2), "median")
-
-
-@pytest.mark.parametrize("dim", list(range(1, 17)))
-def test_extremal_eig_against_jacobi_oracle(dim):
-    """Production eigenvalues vs the hand-written Jacobi solver in oracles.py."""
-    rng = np.random.default_rng(1000 + dim)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (a + a.conj().T) / 2.0
-    spectrum = jacobi_hermitian_eigenvalues(h)
-    assert abs(hermitian_extremal_eig(h, "min") - spectrum[0]) <= 1e-9
-    assert abs(hermitian_extremal_eig(h, "max") - spectrum[-1]) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

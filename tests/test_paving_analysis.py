@@ -24,7 +24,7 @@ from nonpaving import (
     witness_coefficients,
 )
 
-from oracles import oracle_witness
+from oracles import jacobi_hermitian_eigenvalues, oracle_witness
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +121,34 @@ def test_riesz_bound_rejects_empty_subset():
     fam = FrameFamily(np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         riesz_lower_bound(fam, [])
+
+
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ([0, 2], r"must lie in \[0, 2\)"),
+        ([-1, 0], r"must lie in \[0, 2\)"),
+        ([1, 1], "must be distinct"),
+        ([1.0], "subset index must be an integer"),
+        ([True], "subset index must be an integer"),
+    ],
+    ids=["past-end", "negative", "duplicate", "float", "bool"],
+)
+def test_riesz_bound_refuses_a_bad_subset(subset, message):
+    fam = FrameFamily(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match=message):
+        riesz_lower_bound(fam, subset)
+
+
+@pytest.mark.parametrize("rows", range(1, 17))
+def test_riesz_bound_against_jacobi_oracle(rows):
+    """The full subset's bound vs the hand-written Jacobi solver in
+    oracles.py, on a random complex family and the Gram numpy forms."""
+    rng = np.random.default_rng(1000 + rows)
+    v = rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
+    g = v @ v.conj().T
+    spectrum = jacobi_hermitian_eigenvalues((g + g.conj().T) / 2.0)
+    assert abs(riesz_lower_bound(FrameFamily(v), range(rows)) - spectrum[0]) <= 1e-9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

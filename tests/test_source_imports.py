@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
-top-level private helper is used somewhere in the package, the column
-product V^*V, the matrix entry rule, the bound-failure message, the
-certification failure, the CLI's text output, the budget refusal and the
-integer lower bound are each written once.
+top-level private helper is used somewhere in the package, every public name
+is read by package code or named in README, and the column product V^*V, the
+matrix entry rule, the bound-failure message, the certification failure, the
+CLI's text output, the budget refusal and the integer lower bound are each
+written once.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import nonpaving
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "nonpaving"
+README = SRC.parent.parent / "README.md"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -31,17 +35,15 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def _private_definitions(stmt) -> list[str]:
-    """Top-level `_name` functions, classes and constants a statement defines."""
+def _definitions(stmt) -> list[str]:
+    """Top-level functions, classes and constants a statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, ast.Assign):
-        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
-    elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-        names = [stmt.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
 
 
 def _referenced(stmt) -> set[str]:
@@ -57,8 +59,9 @@ def _referenced(stmt) -> set[str]:
     return out
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """Top-level private names no statement references outside their own definition.
+def unreferenced_names(sources: dict[str, str], wanted) -> list[str]:
+    """Top-level names for which `wanted(name)` holds that no statement
+    references outside their own definition.
 
     `sources` maps module names to source text; a reference in any module counts.
     """
@@ -66,10 +69,15 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
     refs = [_referenced(stmt) for stmt in stmts]
     unused = []
     for i, stmt in enumerate(stmts):
-        for name in _private_definitions(stmt):
+        for name in filter(wanted, _definitions(stmt)):
             if not any(name in r for j, r in enumerate(refs) if j != i):
                 unused.append(name)
     return unused
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level private names no statement references outside their own definition."""
+    return unreferenced_names(sources, lambda n: n.startswith("_") and not n.startswith("__"))
 
 
 def test_checker_sees_unused_names():
@@ -97,6 +105,35 @@ def test_module_uses_every_import(path):
 def test_every_private_helper_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unused_private_names(sources) == []
+
+
+def unread_public_names(sources: dict[str, str], public, readme: str) -> list[str]:
+    """Names in `public` that no package statement references outside their
+    own definition and that README does not name."""
+    unread = unreferenced_names(sources, set(public).__contains__)
+    return [name for name in unread if not re.search(rf"\b{re.escape(name)}\b", readme)]
+
+
+def test_checker_sees_test_only_public_names():
+    core = "def used():\n    return 1\ndef documented():\n    return 2\ndef orphan():\n    return 3\n"
+    other = "from .core import used\n"
+    public = ["used", "documented", "orphan"]
+    found = unread_public_names({"core": core, "other": other}, public, "call `documented()`")
+    assert found == ["orphan"]
+
+
+# Public names that only the benchmark's tracer reads: perfbench/tracing.py
+# looks both up by name (TARGETS) when it installs, so they stay until its
+# target list drops them.
+TRACED_ONLY = ["col_square_sums", "column_orthogonality_defect"]
+
+
+def test_every_public_name_is_used_or_documented():
+    """A public name is read by package code or named in README; one that
+    only tests call belongs in the tests."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    readme = README.read_text(encoding="utf-8")
+    assert sorted(unread_public_names(sources, nonpaving.__all__, readme)) == TRACED_ONLY
 
 
 def test_column_product_is_written_once():
