@@ -74,10 +74,10 @@ class FrameFamily:
 class ProjectionMatrix:
     """A Hermitian idempotent matrix with its rank and optional constant diagonal.
 
-    Construction validates a square Hermitian matrix (max|P - P^*| at most
-    HERMITIAN_TOL), idempotency (max|P^2 - P| below 1e-8), a trace within
-    1e-6 of the rank, and, when diag_constant is given, that every diagonal
-    entry matches it within 1e-10.
+    Construction validates a square Hermitian matrix of at least 1 x 1
+    (max|P - P^*| at most HERMITIAN_TOL), idempotency (max|P^2 - P| below
+    1e-8), a trace within 1e-6 of the rank, and, when diag_constant is
+    given, that every diagonal entry matches it within 1e-10.
     """
 
     matrix: np.ndarray
@@ -88,7 +88,9 @@ class ProjectionMatrix:
         P = as_complex_matrix(self.matrix)
         if P.shape[0] != P.shape[1]:
             raise ValueError(f"matrix is not square: shape {P.shape}")
-        dev = float(np.max(np.abs(P - P.conj().T))) if P.size else 0.0
+        if not P.size:
+            raise ValueError("cannot hold a 0 x 0 projection: need at least 1 x 1")
+        dev = float(np.max(np.abs(P - P.conj().T)))
         if dev > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
         object.__setattr__(self, "matrix", P)

@@ -12,7 +12,6 @@ Conventions, fixed once:
 """
 
 import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,10 @@ def _checked(out: np.ndarray) -> np.ndarray:
 def as_complex_matrix(a) -> np.ndarray:
     """Validate and copy input into a read-only 2-d complex128 array.
 
-    Rejects non-2-d input and non-finite entries.
+    Rejects non-2-d input and non-finite entries. The copy is for a matrix
+    that is stored (a FrameFamily's vectors, a ProjectionMatrix's matrix), so
+    that it cannot change under its holder; a function that only reads its
+    input validates it with _as_operand instead.
     """
     return _frozen(_checked(np.array(a, dtype=np.complex128, copy=True, order="C")))
 
@@ -61,8 +63,8 @@ def as_complex_matrix(a) -> np.ndarray:
 def _as_operand(a) -> np.ndarray:
     """Input validated as as_complex_matrix does, for a function that only
     reads it during the call: `a` itself when it already is a C-ordered
-    complex128 array, else a converted copy. The copy that keeps a stored
-    matrix from changing under its holder is not needed for a read."""
+    complex128 array, else a converted copy. A matrix is copied only to be
+    stored (as_complex_matrix); a read needs no copy."""
     return _checked(np.asarray(a, dtype=np.complex128, order="C"))
 
 
@@ -80,11 +82,13 @@ def _as_int(value, what: str, low: int | None = None) -> int:
 def _check_budget(scale: int, base: int, exponent: int, budget: int, message: str) -> None:
     """ResourceLimitError(message) unless scale * base**exponent <= budget.
 
-    All four are ints, scale and budget >= 1 and base, exponent >= 0. The
-    power is not formed when it alone is over the budget: base**exponent is
-    at least 2**(exponent * (bit length of base - 1)), which is over the
-    budget once that exponent reaches the budget's bit length."""
-    if exponent * (base.bit_length() - 1) >= budget.bit_length() or scale * base**exponent > budget:
+    All four are ints, budget >= 1 and scale, base, exponent >= 0. The
+    exponent is capped at the budget's bit length b, so no power past
+    base**b is formed. The cap keeps the verdict: with exponent >= b, a base
+    of 2 or more gives base**b > budget already, so the product is over
+    exactly when scale is nonzero (a zero scale, an empty family, never is),
+    and a base of 0 or 1 gives the same power either way."""
+    if scale * base ** min(exponent, budget.bit_length()) > budget:
         raise ResourceLimitError(message)
 
 
@@ -119,7 +123,7 @@ def scale_columns(a, weights) -> np.ndarray:
     s * mean(weights^2) when `a` has entries of constant modulus. For the
     matrices built here weights are chosen so the rescaled rows stay unit.
     """
-    A = as_complex_matrix(a)
+    A = _as_operand(a)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.shape[0] != A.shape[1]:
         raise ValueError(
@@ -186,19 +190,19 @@ def _column_pass(V: np.ndarray) -> tuple[float, float, float, np.ndarray]:
 
 def column_orthogonality_defect(a) -> float:
     """Largest |<col_i, col_j>| over i != j; 0.0 for single-column input."""
-    A = as_complex_matrix(a)
+    A = _as_operand(a)
     return _column_pass(A)[2] if A.shape[1] > 1 else 0.0
 
 
 def row_square_sums(a) -> np.ndarray:
     """Real vector of per-row sums of squared entry moduli."""
-    A = as_complex_matrix(a)
+    A = _as_operand(a)
     return _frozen(np.sum(np.abs(A) ** 2, axis=1))
 
 
 def col_square_sums(a) -> np.ndarray:
     """Real vector of per-column sums of squared entry moduli."""
-    A = as_complex_matrix(a)
+    A = _as_operand(a)
     return _frozen(np.sum(np.abs(A) ** 2, axis=0))
 
 
@@ -276,7 +280,7 @@ class _TokenSlots(dict):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a matrix written by write_matrix_csv.
+    """Read a matrix written by write_matrix_csv, in one pass over its rows.
 
     Raises MatrixParseError on any structural problem: text that is not
     UTF-8, missing or malformed header (dimensions other than ASCII decimal
@@ -286,21 +290,26 @@ def read_matrix_csv(path) -> np.ndarray:
     The bytes are split, not the decoded text, whose splitlines() and
     split() also break at U+2028 and U+2003: lines end at "\n" (a "\r"
     before it is stripped) and header fields are apart by ASCII whitespace.
-    Each line is split once, and header and row widths are checked before
-    anything is sized from them. Each distinct token is parsed once, by the
-    one entry rule in _TokenSlots, and the entries are gathered from those
-    values; the first problem in row-major order is the one reported, a
-    refused token named by its (i, j).
+    The file's bytes are dropped once split into lines, and each row's text
+    once that row is parsed: the row is split once, its width checked before
+    any of its tokens is looked up (the header alone never sizes an
+    allocation), and its tokens mapped to slots by the one entry rule in
+    _TokenSlots, which parses each distinct token once. The first problem
+    in row-major order is the one reported; a refused token is located
+    inside its own row and named by its (i, j).
     """
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    lines = [ln.strip() for ln in data.split(b"\n") if ln.strip()]
-    if not lines or not lines[0].startswith(b"#"):
+    # Last line first, so that the loop below pops each row as it parses it.
+    lines = [ln for ln in map(bytes.strip, reversed(data.split(b"\n"))) if ln]
+    del data
+    header = lines.pop() if lines else b""
+    if not header.startswith(b"#"):
         raise MatrixParseError(f"{path}: missing '# rows cols' header")
-    head = lines[0][1:].split()
+    head = header[1:].split()
     if len(head) != 2:
         raise MatrixParseError(f"{path}: header must be '# rows cols'")
     # bytes.isdigit() takes ASCII decimal digits only: int() would also
@@ -310,30 +319,22 @@ def read_matrix_csv(path) -> np.ndarray:
     rows, cols = int(head[0]), int(head[1])
     if rows < 1 or cols < 1:
         raise MatrixParseError(f"{path}: bad dimensions {rows} x {cols}")
-    body = lines[1:]
-    if len(body) != rows:
-        raise MatrixParseError(f"{path}: expected {rows} rows, found {len(body)}")
-
-    def row_tokens():
-        # Each line is split once, and its width is refused before any of its
-        # tokens is looked up: the header alone never sizes an allocation.
-        for i, line in enumerate(body):
-            row = line.split(b",")
-            if len(row) != cols:
-                raise MatrixParseError(f"{path}: row {i} has {len(row)} entries, expected {cols}")
-            yield map(bytes.strip, row)
-
+    if len(lines) != rows:
+        raise MatrixParseError(f"{path}: expected {rows} rows, found {len(lines)}")
     slots = _TokenSlots()
-    try:
-        index = np.fromiter(map(slots.__getitem__, chain.from_iterable(row_tokens())), np.intp)
-    except MatrixParseError:
-        raise
-    except ValueError as exc:
-        # Lookups run in row-major order and the table caches only accepted
-        # tokens, so the first token missing from it is the one refused.
-        k = next(k for k, tok in enumerate(chain.from_iterable(row_tokens())) if tok not in slots)
-        raise MatrixParseError(f"{path}: {exc} at {divmod(k, cols)}") from None
-    out = np.array(slots.values, dtype=np.complex128)[index].reshape(rows, cols)
+    index = []
+    for i in range(rows):
+        row = lines.pop().split(b",")
+        if len(row) != cols:
+            raise MatrixParseError(f"{path}: row {i} has {len(row)} entries, expected {cols}")
+        try:
+            index.append(np.fromiter(map(slots.__getitem__, map(bytes.strip, row)), np.intp, cols))
+        except ValueError as exc:
+            # The table caches only accepted tokens, so the first token of
+            # the row missing from it is the one refused.
+            j = next(j for j, tok in enumerate(row) if tok.strip() not in slots)
+            raise MatrixParseError(f"{path}: {exc} at {(i, j)}") from None
+    out = np.array(slots.values, dtype=np.complex128)[np.vstack(index)]
     with np.errstate(over="ignore"):
         squares = np.abs(out) ** 2
         for axis, what in ((1, "row"), (0, "column")):

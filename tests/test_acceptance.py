@@ -197,7 +197,7 @@ def test_criterion_5_witness_soundness():
     )
 
 
-def test_criterion_6_duality_identity(tmp_path, capsys):
+def test_criterion_6_certificate_recheck(tmp_path, capsys):
     """An exhaustive (2, 3) certificate re-checked from its JSON file alone,
     against the oracles: the closed-form family, Jacobi part bounds and exact
     delta values."""

@@ -425,6 +425,13 @@ def test_doubled_family_respects_entry_budget():
         doubled_family(fam, 10, entry_budget=np.int64(1 << 24))
 
 
+def test_doubled_empty_family_is_within_any_budget():
+    """An empty family holds 0 entries at every step, so no step count is
+    over the entry budget."""
+    out = doubled_family(FrameFamily(np.zeros((0, 2))), 13)
+    assert out.vectors.shape == (0, 2**14)
+
+
 def test_build_past_numpy_index_range_is_a_budget_refusal(monkeypatch):
     """(2, 10**20) is refused as a budget, before the DFT is formed."""
     def no_dft(_):

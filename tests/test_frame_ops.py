@@ -220,6 +220,11 @@ def test_projection_matrix_refuses_a_non_square_matrix():
         ProjectionMatrix(np.zeros((2, 3), dtype=complex), 0)
 
 
+def test_projection_matrix_refuses_an_empty_matrix():
+    with pytest.raises(ValueError, match=r"cannot hold a 0 x 0 projection: need at least 1 x 1"):
+        ProjectionMatrix(np.zeros((0, 0), dtype=complex), 0)
+
+
 def test_projection_matrix_refuses_a_non_hermitian_matrix():
     """A deviation max|P - P^*| just under HERMITIAN_TOL passes; ten times
     it is refused, and the message gives the deviation and the tolerance."""

@@ -305,6 +305,25 @@ def test_csv_reports_first_problem_in_row_major_order(tmp_path, text, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+def test_csv_names_a_refused_entry_inside_its_row(tmp_path):
+    """The refused token is found among its row's stripped tokens: ' 1+0j '
+    is the cached 1+0j, so 'bad' is the first one missing."""
+    path = tmp_path / "bad.csv"
+    path.write_text("# 2 3\n1+0j,2+0j,3+0j\n2+0j, 1+0j ,bad\n")
+    with pytest.raises(MatrixParseError) as info:
+        read_matrix_csv(path)
+    assert str(info.value) == f"{path}: bad entry 'bad' at (1, 2)"
+
+
+def test_csv_read_peak_memory_is_about_two_file_sizes(tmp_path, traced_peak):
+    """The file's bytes and its UTF-8 check make two file sizes; the lines
+    replace the bytes, and each row's text goes once it is parsed. Holding
+    the bytes, the lines and the token splits together took 3.3."""
+    path = tmp_path / "fam.csv"
+    write_matrix_csv(build_nonpavable_general(8, 16).vectors, path)
+    assert traced_peak(lambda: read_matrix_csv(path)) <= 2.25 * path.stat().st_size
+
+
 def test_csv_rejects_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# 2 2\n1+0j,1+0j\n1+0j\n")

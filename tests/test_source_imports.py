@@ -3,7 +3,7 @@ top-level private helper is used somewhere in the package, every public name
 is read by package code or named in README, and the column product V^*V, the
 matrix entry rule, the bound-failure message, the certification failure, the
 CLI's text output, the budget refusal and the integer lower bound are each
-written once.
+written once, and a matrix is copied only where it is stored.
 
 `__init__.py` is skipped by the import check: its imports are the public
 re-exports.
@@ -233,3 +233,39 @@ def test_integer_bound_is_written_once():
     paths = [p for p in SRC.glob("*.py") if p.name != "cli.py"]
     sites = _raise_sites(paths, "raise ValueError", "must be >= ")
     assert sites == ["_as_int", "_column_pass"]
+
+
+def _call_sites(paths, callee: str) -> list[str]:
+    """Sorted qualified names (Class.method, or function) of the innermost
+    functions holding a call of `callee` by its bare name."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == callee:
+            sites.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return sorted(sites)
+
+
+def test_call_sites_are_qualified_by_class(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class C:\n    def method(self):\n        return copy(1)\n"
+        "def outer():\n    def inner():\n        return copy(2)\n    return obj.copy(3)\n",
+        encoding="utf-8",
+    )
+    assert _call_sites([module], "copy") == ["C.method", "outer.inner"]
+
+
+def test_matrix_is_copied_only_where_stored():
+    """as_complex_matrix copies its input, so it is called only where a
+    matrix is kept; a function that only reads a matrix validates it with
+    _as_operand, which makes no copy of a complex128 array."""
+    sites = _call_sites(SRC.glob("*.py"), "as_complex_matrix")
+    assert sites == ["FrameFamily.__post_init__", "ProjectionMatrix.__post_init__"]
