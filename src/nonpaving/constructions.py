@@ -279,6 +279,11 @@ def doubled_family(
     entries = family.count * family.dim
     _check_budget(entries, 4, steps, entry_budget, f"doubled family would hold {entries}*4^{steps}"
                   f" entries, over the budget of {entry_budget}")
+    # An empty family passes every entry budget while its other dimension
+    # still doubles. From 63 steps on a nonzero dimension is past numpy's
+    # index range, so the shift stops there and keeps the verdict.
+    k = min(steps, 63)
+    _require_indexable((family.count << k, family.dim << k), 16)
     out = family
     for _ in range(steps):
         out = doubling_step(out)

@@ -95,10 +95,13 @@ def _check_budget(scale: int, base: int, exponent: int, budget: int, message: st
 def _require_indexable(shape: tuple[int, ...], itemsize: int) -> None:
     """ResourceLimitError if numpy could not index an array of this shape and
     item size: past intp it raises ValueError ("Maximum allowed size
-    exceeded") where a smaller allocation it cannot make raises MemoryError."""
+    exceeded") where a smaller allocation it cannot make raises MemoryError.
+    numpy multiplies the nonzero dimensions only, so a zero one does not hide
+    an over-range one, and neither does it here."""
     dims = " x ".join(map(str, shape))
     message = f"a {dims} array of {itemsize}-byte entries is past numpy's index range"
-    _check_budget(math.prod(shape) * itemsize, 1, 0, np.iinfo(np.intp).max, message)
+    _check_budget(math.prod(d or 1 for d in shape) * itemsize, 1, 0, np.iinfo(np.intp).max,
+                  message)
 
 
 def dft_matrix(n: int) -> np.ndarray:

@@ -237,6 +237,9 @@ class _SearchResult:
     symmetry test dropped before any eigensolve, rank_cut the prefixes cut
     for a singular part before any eigensolve, and eigensolves every part
     bound computed, the incumbent's and the orbit re-evaluation's included.
+    map_checks counts the (prefix, row map) pairs the symmetry test was
+    given: the states each tested prefix wakes (`_advance`). It enters no
+    output.
     """
 
     partition: Partition
@@ -245,6 +248,7 @@ class _SearchResult:
     eigensolves: int
     rejected: int
     rank_cut: int
+    map_checks: int
 
     value = property(_min_part_bound)
 
@@ -257,24 +261,27 @@ def _row_group(G: np.ndarray, block: int, margin: float) -> tuple[list[tuple[int
     exact Gram is invariant under the shifts and conjugated by s = -1; the
     defect is the largest Frobenius norm of G[g, g] minus G (or conj(G)) over
     every map g, so it bounds ||E||_2 for every principal submatrix E of those
-    differences and no bound compounds along words in the generators. The
-    maps are used only when the defect is at most `margin`; the window is
-    then 2 * margin + defect (see `_partition_search`). Otherwise, as for a
-    family whose rows were reordered, the group is trivial: ([], 0.0).
+    differences and no bound compounds along words in the generators. All
+    2*block images G[g, g] are gathered by one indexed read (2*block*M^2
+    entries), and each difference's norm is `np.linalg.norm` of its own
+    C-contiguous slice, so the defect has the bits of one gather and norm per
+    map. The maps are used only when the defect is at most `margin`; the
+    window is then 2 * margin + defect (see `_partition_search`). Otherwise,
+    as for a family whose rows were reordered, the group is trivial: ([], 0.0).
     """
     size = G.shape[0]
     a = np.arange(size) % block
     base = np.arange(size) - a
-    maps, defect = set(), 0.0
-    for sign in (1, -1):
-        target = G if sign == 1 else G.conj()
-        for shift in range(block):
-            g = base + (sign * a + shift) % block
-            defect = max(defect, float(np.linalg.norm(G[np.ix_(g, g)] - target)))
-            maps.add(tuple(g.tolist()))
-    maps.discard(tuple(range(size)))
+    shifts = np.arange(block)[:, None]
+    g = np.concatenate([base + (a + shifts) % block, base + (shifts - a) % block])
+    images = G[g[:, :, None], g[:, None, :]]
+    images[:block] -= G
+    images[block:] -= G.conj()
+    defect = max(float(np.linalg.norm(d)) for d in images)
     if defect > margin:
         return [], 0.0
+    maps = set(map(tuple, g.tolist()))
+    maps.discard(tuple(range(size)))
     return sorted(maps), 2.0 * margin + defect
 
 
@@ -289,40 +296,58 @@ def _structured_labelings(family: StackedDftFrame, num_parts: int) -> np.ndarray
     return (a + offsets[:, :, None]).reshape(len(offsets), -1) % num_parts
 
 
-def _canonical(labels) -> tuple[int, ...]:
-    """The restricted-growth relabeling: parts numbered by first appearance."""
-    relabel: dict[int, int] = {}
-    # From a list, not a generator: CPython sizes a tuple built from a
-    # generator by resizing, and such tuples pile up in its free lists.
-    return tuple([relabel.setdefault(lab, len(relabel)) for lab in labels])
+def _canonical(labels: np.ndarray, num_parts: int) -> np.ndarray:
+    """The restricted-growth relabeling of each row of an (N, M) label
+    array: parts numbered by first appearance in the row."""
+    seen = labels[:, :, None] == np.arange(num_parts)
+    first = np.where(seen.any(axis=1), seen.argmax(axis=1), labels.shape[1])
+    return np.take_along_axis(first.argsort(axis=1).argsort(axis=1), labels, axis=1)
 
 
-def _undecided_maps(labels: list[int], i: int, maps: list) -> list | None:
-    """Maps whose image of the prefix labels[:i + 1] still ties it.
+def _advance(woken: list, labels: list[int], i: int) -> list | None:
+    """The symmetry test of the prefix labels[:i + 1], for the maps it wakes.
 
-    The image under g has label labels[g[x]] at x, known while g[x] <= i;
-    it is relabeled by first appearance, as `_canonical` does. Returns None
-    when some image is strictly smaller at its first known difference (no
-    completion of the prefix is then least in its orbit), else the maps
-    whose image is equal on every known position (a larger one stays larger
-    under every completion).
+    A state (g, x, seen) carries one row map g down the walk. The image of
+    the labels under g has label labels[g[y]] at y, relabeled by first
+    appearance as `_canonical` does; seen lists the labels of positions
+    0..x-1 of the image in order of first appearance, so the image's label
+    at y is seen.index(labels[g[y]]). Every position below x is verified
+    equal to the prefix, and position x waits for row max(x, g[x]), the
+    state's wake row, to be labeled. That row is g[x], past the prefix: the
+    rows below x are labeled and g sends them to labeled rows, so when they
+    are all of 0..i, g maps them onto 0..i and g[i + 1] > i. g carries
+    g[M] = M past its M rows, so a map equal on every row never wakes.
+    `woken` holds the states whose wake row is i; each resumes at x while
+    g[x] is labeled.
+
+    Returns None when some image is strictly smaller at its first
+    difference: no completion of the prefix is then least in its orbit.
+    Otherwise returns (wake row, state) for each map whose image still ties
+    the prefix, its wake row past i; a map whose image is larger at its
+    first difference stays larger under every completion and is dropped.
+    The same woken states serve every label tried at row i, so seen is a
+    tuple, extended into a new one when a label first appears.
     """
-    live = []
-    for g in maps:
-        relabel: dict[int, int] = {}
-        for x in range(i + 1):
-            y = g[x]
-            if y > i:
-                live.append(g)
-                break
-            c = relabel.setdefault(labels[y], len(relabel))
-            if c != labels[x]:
-                if c < labels[x]:
+    moved = []
+    for g, x, seen in woken:
+        y = g[x]
+        while y <= i:
+            lab = labels[y]
+            if lab in seen:
+                c = seen.index(lab)
+            else:
+                c = len(seen)
+                seen += (lab,)
+            want = labels[x]
+            if c != want:
+                if c < want:
                     return None
                 break
+            x += 1
+            y = g[x]
         else:
-            live.append(g)
-    return live
+            moved.append((y, (g, x, seen)))
+    return moved
 
 
 def _partition_search(
@@ -352,6 +377,14 @@ def _partition_search(
       or reflecting the row index of every block keeps every part's exact
       spectrum (`_row_group`). A prefix is dropped when some such map,
       followed by relabeling, sends its known labels to a smaller prefix.
+      Each live map's test state is carried down the walk (`_advance`):
+      its image is verified equal to the prefix on the positions below x,
+      and the first position x stays undecided until its wake row
+      max(x, g[x]) is labeled. A state is filed under its wake row, so a
+      child resumes only the states its row wakes, and every other live
+      state passes down untouched; the children of a prefix share its
+      states, and a child's own states are filed before its subtree and
+      taken out after it.
     - Incumbent. The search starts from best = nextafter(v0, -inf), v0 the
       largest value over `_structured_labelings` (the alternating split for
       r = 2 attains delta_1 to rounding).
@@ -415,24 +448,30 @@ def _partition_search(
         best = math.nextafter(float(incumbents.min(axis=1).max()), -math.inf)
         maps, window = _row_group(G, family.r * family.n, margin)
     level = min(best, threshold)
-    last = G.shape[0] - 1
+    size = G.shape[0]
+    last = size - 1
     parts: list[list[int]] = [[] for _ in range(num_parts)]
     values = [math.inf] * num_parts  # bound of each part; inf while empty
-    labels = [0] * G.shape[0]
+    labels = [0] * size
+    pending: list[list] = [[] for _ in range(size + 1)]  # `_advance` states by wake row
+    for g in maps:
+        pending[g[0]].append((g + (size,), 0, ()))
     leaves = []
-    nodes = rejected = rank_cut = 0
+    nodes = rejected = rank_cut = map_checks = 0
 
-    def descend(i: int, used: int, alive: list) -> bool:
+    def descend(i: int, used: int) -> bool:
         """Walk the children of labels[:i]; True once a leaf above the threshold is met."""
-        nonlocal level, nodes, rejected, rank_cut
+        nonlocal level, nodes, rejected, rank_cut, map_checks
+        woken = pending[i]
         for j in range(min(used + 1, num_parts)):
             part = parts[j]
             if len(part) >= dim and margin + window < level:
                 rank_cut += 1
                 continue
             labels[i] = j
-            live = _undecided_maps(labels, i, alive)
-            if live is None:
+            map_checks += len(woken)
+            moved = _advance(woken, labels, i)
+            if moved is None:
                 rejected += 1
                 continue
             nodes += 1
@@ -440,13 +479,18 @@ def _partition_search(
             before = values[j]
             values[j] = _eig_min(G.take(part, 0).take(part, 1))
             value = min(values)
+            stop = False
             if i == last:
                 if value >= level - window:
                     leaves.append((tuple(labels), values[:], value))
                     level = max(level, min(value, threshold))
                 stop = value > threshold
-            else:
-                stop = value + margin + window > level and descend(i + 1, max(used, j + 1), live)
+            elif value + margin + window > level:
+                for wake, state in moved:
+                    pending[wake].append(state)
+                stop = descend(i + 1, max(used, j + 1))
+                for wake, _ in moved:
+                    pending[wake].pop()
             part.pop()
             values[j] = before
             if stop:
@@ -454,18 +498,21 @@ def _partition_search(
         return False
 
     try:
-        descend(0, 0, maps)
+        descend(0, 0)
     finally:
         del descend  # the closure refers to itself: free G and the lists now, not at a full GC
     pool = {lab: row for lab, row, value in leaves if value >= level - window}
-    images = sorted({_canonical(lab[y] for y in g) for lab in pool for g in maps} - pool.keys())
+    pooled = np.array(list(pool), dtype=np.intp).reshape(len(pool), size)
+    orbit = pooled[:, np.array(maps, dtype=np.intp).reshape(len(maps), size)].reshape(-1, size)
+    images = sorted(set(map(tuple, _canonical(orbit, num_parts).tolist())) - pool.keys())
     if images:
         bounds = _sampled_part_bounds(G, np.array(images), num_parts)
         solved += int(np.isfinite(bounds).sum())
         pool.update(zip(images, bounds.tolist()))
     labels = sorted(pool)
     partition, part_bounds = _select(labels, [pool[lab] for lab in labels], num_parts, threshold)
-    return _SearchResult(partition, part_bounds, nodes, nodes + solved, rejected, rank_cut)
+    return _SearchResult(partition, part_bounds, nodes, nodes + solved, rejected, rank_cut,
+                         map_checks)
 
 
 def best_partition_riesz(

@@ -194,6 +194,69 @@ def flat_max_min_partition(gram_matrix, num_parts):
 
 
 # ---------------------------------------------------------------------------
+# the search's row symmetries, one map and one rescan at a time
+# ---------------------------------------------------------------------------
+
+def row_group_by_maps(gram_matrix, block, margin):
+    """(maps, window) of the shift and reflection row maps, one map at a time.
+
+    Map (s, t) sends row a of every block of `block` rows to s*a + t mod
+    block. Its defect is the Frobenius norm, by np.linalg.norm, of the
+    np.ix_ gather of the Gram at the map minus the Gram (s = 1) or its
+    conjugate (s = -1). The maps other than the identity, sorted, and the
+    window 2 * margin + the largest defect are returned when that defect is
+    at most margin, else ([], 0.0).
+    """
+    g_mat = np.asarray(gram_matrix)
+    size = g_mat.shape[0]
+    maps, defect = set(), 0.0
+    for sign in (1, -1):
+        target = g_mat if sign == 1 else g_mat.conj()
+        for shift in range(block):
+            g = [row - row % block + (sign * (row % block) + shift) % block for row in range(size)]
+            defect = max(defect, float(np.linalg.norm(g_mat[np.ix_(g, g)] - target)))
+            maps.add(tuple(g))
+    maps.discard(tuple(range(size)))
+    if defect > margin:
+        return [], 0.0
+    return sorted(maps), 2.0 * margin + defect
+
+
+def first_appearance_relabeling(labels):
+    """labels renumbered in order of first appearance: the first label met
+    becomes 0, the next new one 1, and so on."""
+    order = []
+    for lab in labels:
+        if lab not in order:
+            order.append(lab)
+    return [order.index(lab) for lab in labels]
+
+
+def lex_leader_live_maps(labels, i, maps):
+    """The lex-leader test of the prefix labels[:i + 1], rescanned from row 0.
+
+    The image of the prefix under a row map g has label labels[g[x]] at
+    position x. Its known run is positions 0, 1, ... up to the first x with
+    g[x] unlabeled (g[x] > i) or to i. The run is relabeled by first
+    appearance and compared with the prefix. Returns None when some map's
+    run is smaller at its first difference, else the maps whose run equals
+    the prefix on every position, in the order given.
+    """
+    live = []
+    for g in maps:
+        known = 0
+        while known <= i and g[known] <= i:
+            known += 1
+        image = first_appearance_relabeling([labels[g[x]] for x in range(known)])
+        diff = next((x for x in range(known) if image[x] != labels[x]), None)
+        if diff is None:
+            live.append(g)
+        elif image[diff] < labels[diff]:
+            return None
+    return live
+
+
+# ---------------------------------------------------------------------------
 # witnesses by a per-block loop
 # ---------------------------------------------------------------------------
 

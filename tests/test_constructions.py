@@ -427,9 +427,13 @@ def test_doubled_family_respects_entry_budget():
 
 def test_doubled_empty_family_is_within_any_budget():
     """An empty family holds 0 entries at every step, so no step count is
-    over the entry budget."""
+    over the entry budget, but its column count still doubles: past numpy's
+    index range the call is refused, not left to numpy's ValueError."""
     out = doubled_family(FrameFamily(np.zeros((0, 2))), 13)
     assert out.vectors.shape == (0, 2**14)
+    with pytest.raises(ResourceLimitError, match=r"^a 0 x 2305843009213693952 array of "
+                       r"16-byte entries is past numpy's index range$"):
+        doubled_family(FrameFamily(np.zeros((0, 2))), 60)
 
 
 def test_build_past_numpy_index_range_is_a_budget_refusal(monkeypatch):

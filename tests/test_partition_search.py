@@ -125,11 +125,11 @@ def test_prune_margin_covers_every_computed_rise():
 
 
 @pytest.mark.parametrize(
-    "n, nodes, eigensolves, rejected, rank_cut",
-    [(3, 60, 64, 17, 4), (4, 150, 154, 45, 4)],
+    "n, nodes, eigensolves, rejected, rank_cut, map_checks",
+    [(3, 60, 64, 17, 4, 250), (4, 150, 154, 45, 4, 692)],
     ids=["r2n3", "r2n4"],
 )
-def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected, rank_cut):
+def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected, rank_cut, map_checks):
     """Against 2**(4n) partitions with two eigensolves each in the flat walk.
 
     nodes are the lex-leader prefixes examined, one eigensolve each;
@@ -138,12 +138,15 @@ def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected, rank_cut
     rank_cut counts the prefixes whose appended part would hold more than
     2n rows, cut before the symmetry test and the eigensolve. Without the
     row group and incumbent the walk took 1,090 and 6,914 nodes; without
-    the rank cut, 61 and 151 nodes with 20 and 48 rejected.
+    the rank cut, 61 and 151 nodes with 20 and 48 rejected. map_checks
+    counts the (prefix, row map) pairs the symmetry test is given: only the
+    maps whose wake row the prefix labels, where rescanning every live map
+    at every prefix gave 547 and 1,505.
     """
     family = build_nonpavable_general(2, n)
     result = pa._partition_search(gram(family.vectors), 2, family=family, dim=family.dim)
-    assert (result.nodes, result.eigensolves, result.rejected, result.rank_cut) == (
-        nodes, eigensolves, rejected, rank_cut)
+    assert (result.nodes, result.eigensolves, result.rejected, result.rank_cut,
+            result.map_checks) == (nodes, eigensolves, rejected, rank_cut, map_checks)
 
 
 def test_exhaustive_job_set_eigensolves_are_pinned(tmp_path, capsys, monkeypatch):
@@ -173,12 +176,13 @@ def test_search_reaches_the_recorded_r3_n2_maximum():
     first maximum is 0.34054302431686606, while the canonical leaf of its
     orbit computes 0.340543024316866, so the orbit re-evaluation decides.
     Without the rank cut the walk took 7,388 nodes, 7,418 eigensolves and
-    746 rejected prefixes."""
+    746 rejected prefixes. The symmetry test is given 2,752 (prefix, row
+    map) pairs, where rescanning every live map at every prefix gave 6,012."""
     family = build_nonpavable_general(3, 2)
     result = pa._partition_search(gram(family.vectors), 3, family=family, dim=family.dim)
     assert result.value == 0.34054302431686606
-    assert (result.nodes, result.eigensolves, result.rejected, result.rank_cut) == (
-        6899, 6929, 669, 566)
+    assert (result.nodes, result.eigensolves, result.rejected, result.rank_cut,
+            result.map_checks) == (6899, 6929, 669, 566, 2752)
     bounds = tuple(riesz_lower_bound(family, p) if p else None for p in result.partition.parts)
     assert result.part_bounds == bounds
 

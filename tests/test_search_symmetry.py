@@ -25,7 +25,13 @@ from nonpaving import (
     riesz_lower_bound,
 )
 
-from oracles import flat_max_min_partition, flat_partition_values
+from oracles import (
+    first_appearance_relabeling,
+    flat_max_min_partition,
+    flat_partition_values,
+    lex_leader_live_maps,
+    row_group_by_maps,
+)
 
 FAMILIES = {(r, n): build_nonpavable_general(r, n) for r, n in [(2, 3), (3, 2)]}
 
@@ -50,7 +56,8 @@ def test_relabeled_image_gives_identical_bits(case, data):
     family, labels = case
     perm = data.draw(st.permutations(range(family.r)))
     image = [perm[lab] for lab in labels]
-    assert pa._canonical(image) == pa._canonical(labels)
+    canonical = pa._canonical(np.array([image, labels]), family.r).tolist()
+    assert canonical == [first_appearance_relabeling(labels)] * 2
     assert labeling_value(family, image, family.r) == labeling_value(family, labels, family.r)
 
 
@@ -66,6 +73,76 @@ def test_row_map_image_computes_within_the_window(case, data):
     image = [labels[y] for y in g]
     gap = abs(labeling_value(family, image, family.r) - labeling_value(family, labels, family.r))
     assert gap <= window
+
+
+@pytest.mark.parametrize("r, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2)])
+def test_stacked_row_group_matches_one_gather_per_map(r, n):
+    """One indexed read for all 2rn images gives the maps and the defect,
+    so the window, bit for bit as one np.ix_ gather and norm per map."""
+    G = gram(build_nonpavable_general(r, n).vectors)
+    margin = pa._prune_margin(G)
+    maps, window = pa._row_group(G, r * n, margin)
+    assert (maps, window) == row_group_by_maps(G, r * n, margin)
+    assert maps
+
+
+def family_maps(r, n):
+    G = gram(build_nonpavable_general(r, n).vectors)
+    return pa._row_group(G, r * n, pa._prune_margin(G))[0]
+
+
+WALK_MAPS = {(r, n): family_maps(r, n) for r, n in [(2, 3), (2, 4), (3, 2)]}
+
+
+@st.composite
+def label_walks(draw):
+    """A family's maps and a walk: legs of (rows to go back, labels to try)."""
+    r, n = draw(st.sampled_from(sorted(WALK_MAPS)))
+    size = r * r * n
+    legs = st.tuples(st.integers(0, size),
+                     st.lists(st.integers(0, r - 1), min_size=1, max_size=size))
+    return WALK_MAPS[(r, n)], draw(st.lists(legs, min_size=1, max_size=8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(walk=label_walks())
+def test_carried_symmetry_state_gives_the_rescan_verdict(walk):
+    """Depth first over restricted-growth prefixes, as the search walks
+    them, the states `_advance` carries down give the plain rescan's verdict
+    at every prefix, and its live maps: each live map has one state, filed
+    under its wake row max(x, g[x]) past the prefix, whose image relabeled
+    by first appearance equals the labels below x. A label whose prefix is
+    rejected is not appended, as the search does not descend there."""
+    maps, legs = walk
+    size = len(maps[0])
+    pending = [[] for _ in range(size + 1)]
+    for g in maps:
+        pending[g[0]].append((g + (size,), 0, ()))
+    labels = [0] * size
+    path = []  # (parts used, states pushed) per labeled row
+    for back, tries in legs:
+        for _ in range(min(back, len(path))):
+            for wake, _ in path.pop()[1]:
+                pending[wake].pop()
+        for label in tries[:size - len(path)]:
+            i = len(path)
+            used = path[-1][0] if path else 0
+            labels[i] = min(label, used)
+            moved = pa._advance(pending[i], labels, i)
+            live = lex_leader_live_maps(labels, i, maps)
+            assert (moved is None) == (live is None)
+            if moved is None:
+                continue
+            for wake, state in moved:
+                pending[wake].append(state)
+            path.append((max(used, labels[i] + 1), moved))
+            carried = [(wake, state) for wake in range(i + 1, size + 1) for state in pending[wake]]
+            assert sorted(state[0][:size] for _, state in carried) == sorted(live)
+            for wake, (g, x, seen) in carried:
+                assert wake == max(x, g[x]) == g[x]
+                image = [labels[g[y]] for y in range(x)]
+                assert first_appearance_relabeling(image) == labels[:x]
+                assert list(seen) == list(dict.fromkeys(image))
 
 
 @pytest.mark.parametrize("n", range(3, 17))
