@@ -24,17 +24,19 @@ reports, its first partition above a certify threshold included (the walk
 stops at its first leaf above it), while computing 154 part bounds for
 (2, 4) instead of two per partition.
 
-Sampled certification keeps its draws as one label array and checks them
-with stacked eigensolves, grouped by part size. A draw puts r^2 n rows of
-C^{rn} into r parts, so its largest part holds at least rn rows, and more
-unless every part holds exactly rn. The bound of that part caps the draw's
-value, and all parts are solved only for draws that could fail or be the
-worst (`_sampled_values`), so every value is bit for bit what
-`riesz_lower_bound` computes. A part of more than rn rows has an exactly
-singular Gram, and its computed bound is at most the rank cap
-`_prune_margin(G)` (proved there), so such a largest part stands at the
-cap unsolved until a threshold or the worst value could be at or below the
-cap; the walk cuts a prefix holding such a part the same way.
+Sampled certification keeps its draws as one label array and their part
+bounds as one table, NaN in a slot not yet solved. Each slot is solved at
+most once, by stacked eigensolves grouped by part size (`_label_bounds`),
+so every value is bit for bit what `riesz_lower_bound` computes. A draw
+puts r^2 n rows of C^{rn} into r parts, so its largest part holds at least
+rn rows, and more unless every part holds exactly rn. The bound of that
+part caps the draw's value and is solved first; the other parts are solved
+only for draws that could fail or be the worst (`_sampled_values`). A part
+of more than rn rows has an exactly singular Gram, and its computed bound
+is at most the rank cap `_prune_margin(G)` (proved there), so such a
+largest part stands at the cap unsolved until a threshold or the worst
+value could be at or below the cap; the walk cuts a prefix holding such a
+part the same way.
 """
 
 import math
@@ -687,7 +689,7 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("witness extraction needs a built family with layout metadata")
-    r, n, layout = family.r, family.n, family.layout
+    r, layout = family.r, family.layout
     if partition.num_parts != r or partition.size != family.count:
         raise ValueError(
             f"partition must split {family.count} indices into {r} parts, "
@@ -697,12 +699,7 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
     for k in range(1, r):
         block = layout.block_rows(k)
         members = [[i for i in p if i in block] for p in partition.parts]
-        sizes = [len(rows) for rows in members]
-        part = sizes.index(max(sizes))
-        if sizes[part] < n:
-            raise InternalInconsistencyError(
-                f"pigeonhole failed for block {k}: largest intersection {sizes[part]} < {n}"
-            )
+        part = max(range(r), key=lambda j: len(members[j]))
         coeff, achieved = _block_witness(family.vectors, members[part], layout.band_columns(k))
         if best is None or achieved < best[0]:
             best = (achieved, k, part, members[part], coeff)
@@ -820,42 +817,32 @@ class CertificationSummary:
         }
 
 
-def _label_bounds(G: np.ndarray, labels: np.ndarray, targets: np.ndarray,
-                  sizes: np.ndarray) -> np.ndarray:
-    """Riesz bound of the rows each draw gives its target label, inf where it gives none.
+def _label_bounds(G: np.ndarray, labels: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Riesz bound of the rows each labeling gives its target label, inf where it gives none.
 
-    labels is a (draws, M) array, targets a label per draw, and sizes[d]
-    the number of rows draw d gives targets[d]; a draw of size 0 is skipped.
-    Selections of equal size are gathered into (B, s, s) stacks of
-    principal submatrices, each within _STACK_BYTES, and solved by one
-    eigvalsh call per stack, which gives each the bits `riesz_lower_bound`
-    computes for it. The rows of a stack are found from its draws alone,
-    so no draws x M mask is formed.
+    labels is an (L, M) label array and targets one label per labeling; a
+    target of -1 selects no row. Selections of equal size are gathered into
+    (B, s, s) stacks of principal submatrices, each within _STACK_BYTES,
+    and solved by one eigvalsh call per stack, which gives each the bits
+    `riesz_lower_bound` computes for it. The rows of a stack are found
+    from its labelings alone, so no L x M mask is kept.
     """
+    sizes = (labels == targets[:, None]).sum(axis=1)
     bounds = np.full(len(labels), np.inf)
     for s in np.unique(sizes[sizes > 0]):
-        draws, step = np.flatnonzero(sizes == s), max(1, _STACK_BYTES // (16 * s * s))
-        for start in range(0, len(draws), step):
-            chunk = draws[start:start + step]
+        rows, step = np.flatnonzero(sizes == s), max(1, _STACK_BYTES // (16 * s * s))
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
             idx = np.nonzero(labels[chunk] == targets[chunk, None])[1].reshape(len(chunk), s)
             bounds[chunk] = np.linalg.eigvalsh(G[idx[:, :, None], idx[:, None, :]])[:, 0]
     return bounds
 
 
-def _tallies(labels: np.ndarray, num_parts: int) -> np.ndarray:
-    """Rows each draw gives each label: (draws, num_parts)."""
-    return np.stack([(labels == j).sum(axis=1) for j in range(num_parts)], axis=1)
-
-
 def _sampled_part_bounds(G: np.ndarray, labels: np.ndarray, num_parts: int) -> np.ndarray:
-    """Riesz bound of every part of every drawn labeling, inf for empty parts.
-
-    labels is (count, M); the result is (count, num_parts), one
-    `_label_bounds` column per label.
-    """
-    tallies = _tallies(labels, num_parts)
-    return np.stack([_label_bounds(G, labels, np.full(len(labels), j), tallies[:, j])
-                     for j in range(num_parts)], axis=1)
+    """Riesz bound of every part of every labeling, inf for empty parts:
+    (L, num_parts) from an (L, M) label array, in one `_label_bounds` call."""
+    targets = np.tile(np.arange(num_parts), len(labels))
+    return _label_bounds(G, np.repeat(labels, num_parts, axis=0), targets).reshape(-1, num_parts)
 
 
 def _sampled_values(
@@ -863,56 +850,58 @@ def _sampled_values(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Part bounds of the draws that could fail the threshold or be the worst.
 
-    A draw's value is the min of its parts' bounds, so the bound of its
-    largest part (ties to the lowest label), with the bits
-    `_sampled_part_bounds` gives it, is an upper bound U on it. All part
-    bounds are computed (the draw is settled) for every draw with
-    U > threshold and for the draws of largest U, in batches of 1, 2, 4,
-    ... draws in order of decreasing U (ties in draw order), until the next
-    draw's U is below the largest settled value. Doubling batches settle at
-    most about twice the draws whose U reaches the largest value, in a few
-    stacked calls. (Settling every draw whose U reaches the best value so
-    far settled 9,494 of 10,000 (3, 2) draws on one seed, whose draw of
-    largest U has a small value.)
+    The bounds live in one (draws, num_parts) table, NaN in a slot not yet
+    solved, and each slot is solved at most once, with the bits
+    `riesz_lower_bound` gives it. A draw's value is the min of its row, so
+    the slot of its largest part (ties to the lowest label) is an upper
+    bound U on it; those slots are solved first. A draw is settled (its
+    NaN slots solved, inf for empty parts) for every U > threshold and for
+    the draws of largest U, in batches of 1, 2, 4, ... draws in order of
+    decreasing U (ties in draw order), until the next draw's U is below the
+    largest settled value. Each batch is one `_label_bounds` call over its
+    unsolved (draw, part) slots. Doubling batches settle at most about
+    twice the draws whose U reaches the largest value. (Settling every draw
+    whose U reaches the best value so far settled 9,494 of 10,000 (3, 2)
+    draws on one seed, whose draw of largest U has a small value.)
 
     Rank cap. G is the Gram of vectors in C^dim, so a largest part of more
     than dim rows is singular and its computed bound is at most
     cap = `_prune_margin(G)` (see there). While cap < threshold, such a
-    draw's U is not solved: it stands at cap in the order, which keeps it
-    below the threshold and stops the loop before it once a settled value
-    is above cap. Only a loop that reaches it (no settled value above cap,
-    as when every value is rounding noise) solves those U first, and from
-    there on goes as if every U had been solved at the start. Of 10,000
-    (3, 2) draws on one seed, 9,524 have a singular largest part.
+    draw's slot is left unsolved and its U stands at cap in the order, which
+    keeps it below the threshold and stops the loop before it once a
+    settled value is above cap. Only a loop that reaches it (no settled
+    value above cap, as when every value is rounding noise) solves those
+    slots first, and from there on goes as if every U had been solved at
+    the start. Of 10,000 (3, 2) draws on one seed, 9,524 have a singular
+    largest part.
 
-    Returns the settled draws' indices, in draw order, and their part
-    bounds (settled x num_parts, inf for empty parts). Every draw above the
-    threshold is settled, and so is every draw whose U reaches the largest
-    settled value, so the first of them above the threshold and the first
-    of largest value are those a pass over every part of every draw finds.
+    Returns the settled draws' indices, in draw order, and their rows of
+    the table. Every draw above the threshold is settled, and so is every
+    draw whose U reaches the largest settled value, so the first of them
+    above the threshold and the first of largest value are those a pass
+    over every part of every draw finds.
     """
-    tallies = _tallies(labels, num_parts)
-    lead, most, cap = tallies.argmax(axis=1), tallies.max(axis=1), _prune_margin(G)
-    capped = (most > dim) & (cap < threshold)
-    upper = _label_bounds(G, labels, lead, np.where(capped, 0, most))
+    tallies = np.stack([(labels == j).sum(axis=1) for j in range(num_parts)], axis=1)
+    rows, lead, cap = np.arange(len(labels)), tallies.argmax(axis=1), _prune_margin(G)
+    capped = (tallies.max(axis=1) > dim) & (cap < threshold)
+    upper = _label_bounds(G, labels, np.where(capped, -1, lead))
+    table = np.full(tallies.shape, np.nan)
+    table[rows, lead] = np.where(capped, np.nan, upper)
     upper[capped] = cap
-    bounds = np.empty((len(upper), num_parts))
-    settled = np.zeros(len(upper), dtype=bool)
     chosen = upper > threshold
     order, end = np.argsort(-upper, kind="stable"), 0
     while True:
         if capped[order[end:2 * end + 1]].any():
-            upper[capped] = _label_bounds(G, labels, lead, np.where(capped, most, 0))[capped]
+            solved = _label_bounds(G, labels, np.where(capped, lead, -1))
+            table[rows, lead] = upper = np.where(capped, solved, upper)
             capped[:] = False
             order = np.argsort(-upper, kind="stable")
         chosen[order[end:2 * end + 1]] = True
         end = 2 * end + 1
-        draws = np.flatnonzero(chosen & ~settled)
-        bounds[draws] = _sampled_part_bounds(G, labels[draws], num_parts)
-        settled[draws] = True
-        if end >= len(order) or upper[order[end]] < bounds[settled].min(axis=1).max():
-            draws = np.flatnonzero(settled)
-            return draws, bounds[draws]
+        draws, parts = np.nonzero(np.isnan(table) & chosen[:, None])
+        table[draws, parts] = _label_bounds(G, labels[draws], parts)
+        if end >= len(order) or upper[order[end]] < table[chosen].min(axis=1).max():
+            return np.flatnonzero(chosen), table[chosen]
 
 
 def certify_nonpavable(

@@ -188,19 +188,19 @@ def test_witness_failure_names_the_first_failing_draw(monkeypatch):
 
 @pytest.mark.parametrize(
     "r, n, count, seed, eigensolves, settled, svds",
-    [(3, 2, 10000, 2010, 569, 31, 2), (4, 8, 2000, 7, 2060, 15, 3)],
+    [(3, 2, 10000, 2010, 538, 31, 2), (4, 8, 2000, 7, 2045, 15, 3)],
     ids=["r3n2", "r4n8"],
 )
 def test_sampled_work_counts_are_pinned(r, n, count, seed, eigensolves, settled, svds,
                                         monkeypatch):
     """Matrices given to eigvalsh and svd, summed over their stacks. A
     draw's largest part is solved at most once, and only while it has at
-    most rn rows or no settled value is above the rank cap; all r parts
-    only of the settled draws (a full pass solves r * count). (3, 2) solves
-    476 balanced draws' largest parts of 10,000 (every one solved 10,093
-    matrices); every (4, 8) value is rounding noise, so all 2,000 largest
-    parts are solved. The only SVDs are the reported witness's, one per
-    block k < r, whatever the draw count."""
+    most rn rows or no settled value is above the rank cap; the other
+    r - 1 parts only of the settled draws (a full pass solves r * count).
+    (3, 2) solves 476 balanced draws' largest parts of 10,000 (every one
+    solved 10,093 matrices); every (4, 8) value is rounding noise, so all
+    2,000 largest parts are solved. The only SVDs are the reported
+    witness's, one per block k < r, whatever the draw count."""
     family = build_nonpavable_general(r, n)
     solved = {"eigvalsh": 0, "svd": 0}
     for name in solved:
@@ -211,18 +211,19 @@ def test_sampled_work_counts_are_pinned(r, n, count, seed, eigensolves, settled,
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, spy)
-    batches = []
-    real_parts = pa._sampled_part_bounds
+    kept = []
+    real_values = pa._sampled_values
 
-    def parts_spy(G, labels, num_parts):
-        batches.append(len(labels))
-        return real_parts(G, labels, num_parts)
+    def values_spy(*args):
+        draws, bounds = real_values(*args)
+        kept.append(len(draws))
+        return draws, bounds
 
-    monkeypatch.setattr(pa, "_sampled_part_bounds", parts_spy)
+    monkeypatch.setattr(pa, "_sampled_values", values_spy)
     certify_nonpavable(family, "sampled", count=count, seed=seed)
     assert solved == {"eigvalsh": eigensolves, "svd": svds}
-    assert sum(batches) == settled
-    assert solved["eigvalsh"] <= count + r * sum(batches)
+    assert kept == [settled]
+    assert solved["eigvalsh"] <= count + (r - 1) * settled
 
 
 @pytest.mark.parametrize(
@@ -425,6 +426,23 @@ def test_singular_parts_compute_at_most_the_rank_cap(make, num_parts):
     singular = bounds[sizes > family.dim]
     assert singular.size > 0
     assert singular.max() <= pa._prune_margin(G)
+
+
+def test_label_bounds_solve_only_the_selected_rows():
+    """A labeling whose target is -1 or a label it does not use selects no
+    row and gets inf; every other gets `riesz_lower_bound` of the rows it
+    gives its target, bit for bit, from one stacked call whatever the mix
+    of selection sizes."""
+    family = build_nonpavable_general(3, 2)
+    G = gram(family.vectors)
+    labels = np.random.Generator(np.random.Philox(5)).integers(0, 3, size=(300, family.count))
+    labels[:20] %= 2  # label 2 absent from the first 20 rows
+    targets = np.tile([2, -1, 0, 1, 2], 60)
+    bounds = pa._label_bounds(G, labels, targets)
+    assert sum(2 not in lab for lab, target in zip(labels, targets) if target == 2) >= 8
+    for d, (lab, target) in enumerate(zip(labels, targets)):
+        idx = np.flatnonzero(lab == target)
+        assert bounds[d] == (pa.riesz_lower_bound(family, idx) if idx.size else np.inf)
 
 
 def unit_rows_family(seed, rows, dim):
