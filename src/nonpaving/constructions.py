@@ -72,8 +72,10 @@ class DeltaSchedule:
     sum through delta_k (k correctly rounded deltas, accumulated) is within
     the rounding bound (k + 1) * eps * c of its closed form c = rk/((r-k)n+k)
     (one correctly rounded division); at k = r, c is r, so this also checks
-    the total. Every proper partial sum stays strictly below r (so band
-    weights are real).
+    the total. For k < r, c <= k <= r - 1 because (r-k)n + k >= r, so the
+    checked sum is at most (r - 1)(1 + r eps), strictly below r while
+    r (r - 1) eps < 1, i.e. for r below 6.7e7 (a schedule that long holds
+    gigabytes of deltas); so band weights sqrt(r - sum) are real.
     """
 
     r: int
@@ -91,8 +93,6 @@ class DeltaSchedule:
             closed = r * k / ((r - k) * n + k)
             if abs(total - closed) > (k + 1) * math.ulp(1.0) * closed:
                 raise ValueError(f"partial sum through delta_{k} deviates from {closed}")
-            if k < r and not total < r:
-                raise ValueError(f"partial sum through delta_{k} must stay below r")
 
     def residual_weight_sq(self, k: int) -> float:
         """r minus the partial sum through delta_{k-1} (the band weight, squared)."""
@@ -143,7 +143,8 @@ class BlockLayout:
     sqrt(delta_k). Block r replaces band and tail with a single tail of
     r+n-1 columns at weight sqrt(delta_r). Nothing is checked here: widths
     total r*n by construction, and every square root is of a positive
-    number because DeltaSchedule checks each proper partial sum below r.
+    number: DeltaSchedule checks each partial sum against its closed form,
+    which keeps every proper partial sum below r (see there).
     """
 
     schedule: DeltaSchedule

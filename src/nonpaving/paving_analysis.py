@@ -4,14 +4,16 @@ The Riesz bound of a subset of a frame family is the smallest eigenvalue of
 the subset's Gram matrix: the worst squared norm of a unit-coefficient
 combination of those vectors. Certification shows that no r-part partition
 of a built (r, n) family keeps all parts' bounds large: for every partition,
-a pigeonhole argument finds n rows of one DFT block inside a single part,
-and a unit coefficient vector in the null space of the block's band columns
-combines them into a vector of squared norm at most delta_k, which shrinks
-like 1/n. That lemma holds for every partition at once when block k's rows
-are orthonormal DFT rows times the block's column weights, so certification
-checks that block structure once (`_check_block_structure`) and then
-computes only the certificate's own witness, which is explicit and is
-re-verified directly against the matrix.
+a pigeonhole argument finds n of the rn rows of DFT block 1 inside a single
+part, and a unit coefficient vector in the null space of the block's band
+columns combines them into a vector of squared norm at most
+delta_1 = r/((r-1)n+1), which shrinks like 1/n. So every partition is
+checked against the one bound delta_1 + WITNESS_TOL. That lemma holds for
+every partition at once when block 1's rows are orthonormal DFT rows times
+the block's column weights, so certification checks that block structure
+once (`_check_block_structure`) and then computes only the certificate's
+own witness, which is explicit and is re-verified directly against the
+matrix.
 
 Exhaustive questions over all r^M labeled partitions are answered by one
 depth-first branch-and-bound over label prefixes (`_partition_search`). It
@@ -555,7 +557,8 @@ def _as_real(value, message: str, low: float = -math.inf) -> float:
 class Witness:
     """Explicit coefficients defeating one part of one partition.
 
-    k names the DFT block and its delta_k (1-based, k <= r-1); part is the
+    k names the DFT block and its delta_k (1-based, k <= r-1;
+    `witness_coefficients` always takes k = 1); part is the
     0-based label of the partition part the rows came from; indices are the
     selected global row indices (at least n of block k's rows, all in that
     part); coefficients is the unit coefficient vector aligned with indices;
@@ -585,10 +588,10 @@ class Witness:
         object.__setattr__(self, "achieved_norm_sq", achieved)
 
 
-def _witness_limit(family: StackedDftFrame, k):
-    """delta_k + WITNESS_TOL, the most a block-k witness may achieve, for an
-    int k or an integer array of them; WITNESS_TOL is read at call time."""
-    return np.asarray(family.schedule.deltas)[k - 1] + WITNESS_TOL
+def _witness_limit(family: StackedDftFrame) -> float:
+    """delta_1 + WITNESS_TOL: the certify threshold and the most the block-1
+    witness may achieve; WITNESS_TOL is read at call time."""
+    return family.schedule.deltas[0] + WITNESS_TOL
 
 
 def _block_witness(vectors: np.ndarray, rows: list, band: range) -> tuple[np.ndarray, float]:
@@ -617,7 +620,13 @@ def _block_witness(vectors: np.ndarray, rows: list, band: range) -> tuple[np.nda
 
 
 def _check_block_structure(family: StackedDftFrame) -> None:
-    """Prove once that every partition's witness is at most delta_k + WITNESS_TOL.
+    """Prove once that every partition's block-k witness is at most
+    delta_k + WITNESS_TOL, for every block k < r.
+
+    Certification reads it for k = 1: every partition's block-1 witness,
+    the one `witness_coefficients` computes, is then at most delta_1 +
+    WITNESS_TOL, the certify threshold. The other blocks are checked too,
+    as a test of the family's rows.
 
     With m = rn, D = `dft_matrix(m)` and w = `layout.column_weights(k)` as
     computed (zero on block k's prefix, t = fl(sqrt(delta_k)) on its tail),
@@ -675,17 +684,16 @@ def _check_block_structure(family: StackedDftFrame) -> None:
 
 
 def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witness:
-    """Find witness coefficients for a partition of a built (r, n) family.
+    """Find the block-1 witness for a partition of a built (r, n) family.
 
-    For each k in 1..r-1, the rows of block k (row indices (k-1)rn..krn-1)
-    are spread over r parts, so some part holds at least n of them; among
-    parts the one holding the most is taken (ties to the lowest label).
-    Those rows vanish on the earlier blocks' band columns, and a unit
-    coefficient vector in the null space of their own band columns (n-1
-    constraints against >= n vectors), `_block_witness` on that selection,
-    combines them into a vector supported on the tail, of squared norm at
-    most delta_k. The witness with the smallest achieved norm over k (ties
-    to the first k) is returned.
+    The rn rows of block 1 (row indices 0..rn-1) are spread over r parts,
+    so some part holds at least n of them; the part holding the most is
+    taken (ties to the lowest label). A unit coefficient vector in the null
+    space of their band columns (n-1 constraints against >= n vectors),
+    `_block_witness` on that selection, combines them into a vector
+    supported on the tail, of squared norm at most delta_1 = r/((r-1)n+1);
+    achieving more than delta_1 + WITNESS_TOL raises
+    InternalInconsistencyError.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("witness extraction needs a built family with layout metadata")
@@ -695,20 +703,15 @@ def witness_coefficients(family: StackedDftFrame, partition: Partition) -> Witne
             f"partition must split {family.count} indices into {r} parts, "
             f"got {partition.size} into {partition.num_parts}"
         )
-    best = None
-    for k in range(1, r):
-        block = layout.block_rows(k)
-        members = [[i for i in p if i in block] for p in partition.parts]
-        part = max(range(r), key=lambda j: len(members[j]))
-        coeff, achieved = _block_witness(family.vectors, members[part], layout.band_columns(k))
-        if best is None or achieved < best[0]:
-            best = (achieved, k, part, members[part], coeff)
-    achieved, k, part, rows, coeff = best
-    if achieved > _witness_limit(family, k):
+    block = layout.block_rows(1)
+    members = [[i for i in p if i in block] for p in partition.parts]
+    part = max(range(r), key=lambda j: len(members[j]))
+    coeff, achieved = _block_witness(family.vectors, members[part], layout.band_columns(1))
+    if achieved > _witness_limit(family):
         raise InternalInconsistencyError(
-            f"witness achieved {achieved}, above delta_{k} = {family.schedule.deltas[k - 1]}"
+            f"witness achieved {achieved}, above delta_1 = {family.schedule.deltas[0]}"
         )
-    return Witness(k, part, tuple(rows), coeff, achieved)
+    return Witness(1, part, tuple(members[part]), coeff, achieved)
 
 
 @dataclass(frozen=True, eq=False)
@@ -925,21 +928,21 @@ def certify_nonpavable(
     threshold or the largest value computed is at most the cap. The walk
     cuts a prefix holding such a part the same way, and both modes report
     the bytes that solving every part gives. Each partition must
-    satisfy min-part bound <= max(delta_1..delta_{r-1}) + 1e-8. `_select`
-    applies the rule, in enumeration or draw order: CertificationError
-    carries the first partition that does not, and otherwise the
-    certificate is the first partition of largest min-part bound. Then one
-    structural check, `_check_block_structure`, proves for every partition
-    at once that its witness achieves at most delta_k + WITNESS_TOL, or
-    raises InternalInconsistencyError, so no partition's witness is
-    computed but the certificate's own (`witness_coefficients`, checked
-    against delta_k + WITNESS_TOL too).
+    satisfy min-part bound <= delta_1 + WITNESS_TOL (`_witness_limit`,
+    delta_1 + 1e-8). `_select` applies the rule, in enumeration or draw
+    order: CertificationError carries the first partition that does not,
+    and otherwise the certificate is the first partition of largest
+    min-part bound. Then one structural check, `_check_block_structure`,
+    proves for every partition at once that its block-1 witness achieves
+    at most that same bound, or raises InternalInconsistencyError, so no
+    partition's witness is computed but the certificate's own
+    (`witness_coefficients`, one SVD, checked against the bound too).
     Families with n = 1 certify trivially and are flagged vacuous.
     """
     if not isinstance(family, StackedDftFrame):
         raise ValueError("certification needs a built family with layout metadata")
     r = family.r
-    threshold = float(_witness_limit(family, np.arange(1, r)).max())
+    threshold = _witness_limit(family)
     if mode == "exhaustive":
         if count is not None:
             raise ValueError("count applies only to sampled mode")

@@ -257,7 +257,7 @@ def lex_leader_live_maps(labels, i, maps):
 
 
 # ---------------------------------------------------------------------------
-# witnesses by a per-block loop
+# the block-1 witness
 # ---------------------------------------------------------------------------
 
 def oracle_selection_witness(vectors, k, rows, n):
@@ -286,23 +286,14 @@ def oracle_selection_witness(vectors, k, rows, n):
 def oracle_witness(vectors, labels, r, n):
     """(k, part, rows, coeff, achieved) for one labeling of a built (r, n) family.
 
-    For each block k < r, the part holding most of the block's r*n rows
-    (ties to the lowest label) gives the rows of `oracle_selection_witness`;
-    the block with the smallest achieved norm wins, ties to the first.
-    Returns None when some block's largest intersection is below n.
+    k is always 1: the part holding most of block 1's r*n rows (ties to the
+    lowest label) gives the rows of `oracle_selection_witness`. A labeling
+    of every row puts at least n of them in that part.
     """
-    rn = r * n
-    best = None
-    for k in range(1, r):
-        members = [[i for i in range((k - 1) * rn, k * rn) if labels[i] == j] for j in range(r)]
-        part = max(range(r), key=lambda j: len(members[j]))
-        rows = members[part]
-        if len(rows) < n:
-            return None
-        coeff, achieved = oracle_selection_witness(vectors, k, rows, n)
-        if best is None or achieved < best[4]:
-            best = (k, part, rows, coeff, achieved)
-    return best
+    members = [[i for i in range(r * n) if labels[i] == j] for j in range(r)]
+    part = max(range(r), key=lambda j: len(members[j]))
+    coeff, achieved = oracle_selection_witness(vectors, 1, members[part], n)
+    return 1, part, members[part], coeff, achieved
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +309,7 @@ def flat_sampled_values(gram_matrix, vectors, r, n, count, seed):
     (count, r*r*n). Yields (labels, bounds, value, k, achieved) per draw:
     bounds per part (None when empty) from eigvalsh on the sorted principal
     submatrix of the Gram, value their min; (k, achieved) from
-    `oracle_witness`, both None when it finds no witness.
+    `oracle_witness`.
     """
     g = np.asarray(gram_matrix)
     v = np.asarray(vectors)
@@ -330,9 +321,8 @@ def flat_sampled_values(gram_matrix, vectors, r, n, count, seed):
         bounds = [float(np.linalg.eigvalsh(g[np.ix_(p, p)])[0]) if p else None
                   for p in parts]
         value = min(b for b in bounds if b is not None)
-        witness = oracle_witness(v, labels, r, n)
-        best_k, best = (None, None) if witness is None else (witness[0], witness[4])
-        yield labels, bounds, value, best_k, best
+        k, _, _, _, achieved = oracle_witness(v, labels, r, n)
+        yield labels, bounds, value, k, achieved
 
 
 # ---------------------------------------------------------------------------

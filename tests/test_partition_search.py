@@ -265,6 +265,21 @@ def test_certify_reports_flat_first_failure_before_witnesses(tmp_path, capsys, m
     assert not out.exists()
 
 
+def test_certify_threshold_is_delta_1_for_every_r(monkeypatch):
+    """(3, 2) has delta_1 = 0.6 and delta_2 = 0.9, and its exact best
+    min-part bound is 0.340543024316866. With WITNESS_TOL at -0.26 the
+    threshold delta_1 - 0.26 = 0.34 is below that, so the walk names a
+    partition of that bound; a threshold read from delta_2 (0.64) would
+    pass every partition instead."""
+    monkeypatch.setattr(pa, "WITNESS_TOL", -0.26)
+    family = build_nonpavable_general(3, 2)
+    with pytest.raises(CertificationError) as info:
+        certify_nonpavable(family, "exhaustive", budget=3**18)
+    value = min(pa.riesz_lower_bound(family, p) for p in info.value.partition.parts)
+    assert str(info.value) == f"partition keeps min-part bound {value} above {0.6 - 0.26}"
+    assert round(value, 15) == 0.340543024316866
+
+
 @pytest.mark.parametrize("r, n", [(2, 2), (2, 3), (3, 1)])
 def test_row_reduced_threshold_search_matches_flat_walk(r, n):
     """At, just below and just above every distinct flat value, the walk

@@ -97,15 +97,20 @@ def test_sampled_certificate_bytes_unchanged(r, n, count, seed, tmp_path, capsys
 COUNT, SEED = 400, 6
 
 
+def certify_bound(family, tol):
+    """delta_1 + tol: with WITNESS_TOL = tol, the threshold every partition
+    is checked against and the most the block-1 witness may achieve."""
+    return family.schedule.deltas[0] + tol
+
+
 def first_failure(family, draws, tol):
     """Index of the first draw failing the bound or the witness check with
     WITNESS_TOL = tol, and whether it fails the bound."""
-    deltas = family.schedule.deltas
-    threshold = max(deltas[: family.r - 1]) + tol
-    for d, (_, _, value, k, achieved) in enumerate(draws):
-        if value > threshold:
+    bound = certify_bound(family, tol)
+    for d, (_, _, value, _, achieved) in enumerate(draws):
+        if value > bound:
             return d, True
-        if achieved > deltas[k - 1] + tol:
+        if achieved > bound:
             return d, False
     raise AssertionError("no draw fails")
 
@@ -117,9 +122,8 @@ def parts_of(labels, r):
 def test_bound_failure_names_the_first_draw_above_the_threshold(monkeypatch):
     family = build_nonpavable_general(3, 2)
     draws = oracle_draws(family, COUNT, SEED)
-    top = max(family.schedule.deltas[:2])
-    tol = sorted(v for _, _, v, _, _ in draws)[int(0.95 * COUNT)] - top
-    threshold = top + tol
+    tol = sorted(v for _, _, v, _, _ in draws)[int(0.95 * COUNT)] - certify_bound(family, 0.0)
+    threshold = certify_bound(family, tol)
     first = next(d for d, draw in enumerate(draws) if draw[2] > threshold)
     assert first > 0
     monkeypatch.setattr(pa, "WITNESS_TOL", tol)
@@ -139,11 +143,11 @@ def test_bound_failure_takes_precedence_over_a_witness_failure(monkeypatch):
     so would the reported draw's witness: the bound failure is raised."""
     family = build_nonpavable_general(3, 2)
     draws = oracle_draws(family, COUNT, SEED)
-    tol = np.nextafter(draws[0][2], -np.inf) - max(family.schedule.deltas[:2])
+    tol = np.nextafter(draws[0][2], -np.inf) - certify_bound(family, 0.0)
     assert first_failure(family, draws, tol) == (0, True)
     values = [draw[2] for draw in draws]
-    for _, _, _, k, achieved in (draws[0], draws[values.index(max(values))]):
-        assert achieved > family.schedule.deltas[k - 1] + tol
+    for _, _, _, _, achieved in (draws[0], draws[values.index(max(values))]):
+        assert achieved > certify_bound(family, tol)
     monkeypatch.setattr(pa, "WITNESS_TOL", tol)
     with pytest.raises(CertificationError) as info:
         certify_nonpavable(family, "sampled", count=COUNT, seed=SEED)
@@ -164,7 +168,7 @@ def test_witness_failure_names_the_first_failing_draw(monkeypatch):
     worst = values.index(max(values))
     labels, _, _, k, achieved = draws[worst]
     tol = achieved - deltas[k - 1] - 1e-9
-    assert max(values) <= max(deltas[:2]) + tol
+    assert max(values) <= certify_bound(family, tol)
     assert first_failure(family, draws, tol)[0] < worst
     monkeypatch.setattr(pa, "WITNESS_TOL", tol)
     checked = []
@@ -188,7 +192,7 @@ def test_witness_failure_names_the_first_failing_draw(monkeypatch):
 
 @pytest.mark.parametrize(
     "r, n, count, seed, eigensolves, settled, svds",
-    [(3, 2, 10000, 2010, 538, 31, 2), (4, 8, 2000, 7, 2045, 15, 3)],
+    [(3, 2, 10000, 2010, 538, 31, 1), (4, 8, 2000, 7, 2045, 15, 1)],
     ids=["r3n2", "r4n8"],
 )
 def test_sampled_work_counts_are_pinned(r, n, count, seed, eigensolves, settled, svds,
@@ -199,8 +203,8 @@ def test_sampled_work_counts_are_pinned(r, n, count, seed, eigensolves, settled,
     r - 1 parts only of the settled draws (a full pass solves r * count).
     (3, 2) solves 476 balanced draws' largest parts of 10,000 (every one
     solved 10,093 matrices); every (4, 8) value is rounding noise, so all
-    2,000 largest parts are solved. The only SVDs are the reported
-    witness's, one per block k < r, whatever the draw count."""
+    2,000 largest parts are solved. The only SVD is the reported
+    witness's, on block 1, whatever r and the draw count."""
     family = build_nonpavable_general(r, n)
     solved = {"eigvalsh": 0, "svd": 0}
     for name in solved:
@@ -262,14 +266,14 @@ def per_draw_outcome(family, draws, tol):
     otherwise the first maximizer's witness is checked, no other's. On a
     pass, (None, partition, certificate values) of the first maximizer."""
     r, deltas = family.r, family.schedule.deltas
-    threshold = max(deltas[: r - 1]) + tol
+    threshold = certify_bound(family, tol)
     for labels, _, value, _, _ in draws:
         if value > threshold:
             return (CertificationError, parts_of(labels, r),
                     f"partition keeps min-part bound {value} above {threshold}")
     values = [draw[2] for draw in draws]
     labels, bounds, value, k, achieved = draws[values.index(max(values))]
-    if achieved > deltas[k - 1] + tol:
+    if achieved > threshold:
         return (InternalInconsistencyError, parts_of(labels, r),
                 f"witness achieved {achieved}, above delta_{k} = {deltas[k - 1]}")
     return None, parts_of(labels, r), (bounds, value, k, achieved)
@@ -281,8 +285,7 @@ def tolerances(family, draws, kind):
     largest part where that bound is below the largest value ("gap"), or
     witness limits at the draws' achieved norms, the default tolerance
     included ("slack")."""
-    deltas = family.schedule.deltas
-    top = max(deltas[: family.r - 1])
+    top = certify_bound(family, 0.0)
     if kind == "value":
         return sorted({value - top for _, _, value, _, _ in draws})
     if kind == "gap":
@@ -290,7 +293,7 @@ def tolerances(family, draws, kind):
         return sorted({(value + lead) / 2 - top for labels, bounds, value, _, _ in draws
                        if value + 1e-9 < (lead := largest_part_bound(labels, bounds, family.r))
                        < most})
-    return sorted({achieved - deltas[k - 1] for _, _, _, k, achieved in draws} | {pa.WITNESS_TOL})
+    return sorted({achieved - top for _, _, _, _, achieved in draws} | {pa.WITNESS_TOL})
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,7 +315,7 @@ def test_outcome_matches_per_draw_loop(rn, count, seed, kind, data):
     assume(marks)
     tol = data.draw(st.sampled_from(marks))
     if kind == "gap":
-        threshold = max(family.schedule.deltas[: r - 1]) + tol
+        threshold = certify_bound(family, tol)
         assert any(largest_part_bound(labels, bounds, r) > threshold >= value
                    for labels, bounds, value, _, _ in draws)
     want = per_draw_outcome(family, draws, tol)
@@ -352,7 +355,7 @@ def test_draw_with_only_its_largest_part_above_the_threshold_passes(monkeypatch)
     family = build_nonpavable_general(3, 2)
     draws = oracle_draws(family, COUNT, SEED)
     tol = max(tolerances(family, draws, "gap"))
-    threshold = max(family.schedule.deltas[:2]) + tol
+    threshold = certify_bound(family, tol)
     first = next(d for d, draw in enumerate(draws) if draw[2] > threshold)
     assert any(largest_part_bound(labels, bounds, 3) > threshold
                for labels, bounds, _, _, _ in draws[:first])
@@ -376,7 +379,7 @@ def rank_cap_tolerance(family, level):
     if level == "default":
         return pa.WITNESS_TOL
     cap = pa._prune_margin(gram(family.vectors))
-    top = max(family.schedule.deltas[: family.r - 1])
+    top = certify_bound(family, 0.0)
     step = np.inf if level == "above" else -np.inf
     tol = cap - top
     while (top + tol > cap) != (level == "above"):
