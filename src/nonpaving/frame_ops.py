@@ -20,6 +20,7 @@ from .errors import InternalInconsistencyError
 from .matrix_core import (
     _as_int,
     _column_pass,
+    _hermitian_deviation,
     as_complex_matrix,
     gram,
     row_square_sums,
@@ -90,7 +91,7 @@ class ProjectionMatrix:
             raise ValueError(f"matrix is not square: shape {P.shape}")
         if not P.size:
             raise ValueError("cannot hold a 0 x 0 projection: need at least 1 x 1")
-        dev = float(np.max(np.abs(P - P.conj().T)))
+        dev = _hermitian_deviation(P)
         if dev > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian: deviation {dev:.3e} > {HERMITIAN_TOL:.3e}")
         object.__setattr__(self, "matrix", P)

@@ -168,6 +168,20 @@ def gram(f) -> np.ndarray:
     return _frozen(G)
 
 
+def _hermitian_deviation(P: np.ndarray) -> float:
+    """max|P - P^*| of a square P, over the pairs of b x b tiles that gram
+    Hermitizes (b = 128): tile (I, J) against the conjugate transpose of
+    tile (J, I), for I <= J only, since |P_ij - conj P_ji| and
+    |P_ji - conj P_ij| are the same bits (IEEE subtraction is
+    antisymmetric). So the maximum has the bits of the whole difference's,
+    and beside P the call holds three tile-sized temporaries, not two
+    M x M arrays."""
+    m = P.shape[0]
+    b = math.isqrt(_BLOCK_BYTES // 16)
+    return max(float(np.max(np.abs(P[i : i + b, j : j + b] - P[j : j + b, i : i + b].conj().T)))
+               for i in range(0, m, b) for j in range(i, m, b))
+
+
 def _column_pass(V: np.ndarray) -> tuple[float, float, float, np.ndarray]:
     """(lower, upper, defect, sums) of a complex V with columns, from one S = V^*V:
     the frame bounds of V's rows (extreme eigenvalues of (S + S^*)/2), the

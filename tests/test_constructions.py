@@ -477,14 +477,77 @@ def test_gram_block_residual_small():
     assert gram_block_residual(out, fam) <= 1e-12
 
 
-@pytest.mark.parametrize("r,n,steps", [(2, 2, 3), (2, 4, 6)])
+@pytest.mark.parametrize("r,n,steps", [(2, 2, 3), (2, 4, 6), (3, 1, 5), (3, 2, 3), (2, 3, 4), (2, 1, 0)])
 def test_gram_block_residual_bits_equal_the_block_pairs(r, n, steps):
-    """One product per block row against one per pair of copies: 64 against
-    2,080 products for (2, 4) K = 6."""
+    """C products (0, x) against one per pair of copies i <= j: 64 against
+    2,080 for (2, 4) K = 6. M = 9 and M = 18 are not multiples of 4, where
+    slices of a block-row product lose the pair products' bits."""
     fam = build_nonpavable_general(r, n)
     out = doubled_family(fam, steps)
+    assert constructions._signed_copies(out.vectors, fam.count, fam.dim)
     expected = gram_block_residual_by_pairs(out.vectors, fam.vectors)
     assert gram_block_residual(out, fam) == expected
+
+
+@pytest.mark.parametrize("r,n,steps", [(3, 1, 5), (2, 4, 6)])
+def test_doubled_gram_block_has_the_bits_of_block_zero_xor(r, n, steps):
+    """The identity the shortcut rests on: block (i, j) of a doubled Gram is
+    block (0, i xor j) bit for bit, as every term is the same up to exact
+    sign flips, summed in the same order. A BLAS whose bits depend on where
+    its operands sit in memory breaks it, and this fails."""
+    fam = build_nonpavable_general(r, n)
+    V = doubled_family(fam, steps).vectors
+    M, C = fam.count, 2**steps
+    Vc = V.conj()
+
+    def block(i, j):
+        return (V[i * M : (i + 1) * M] @ Vc[j * M : (j + 1) * M].T).tobytes()
+
+    first = [block(0, x) for x in range(C)]
+    assert [(i, j) for i in range(C) for j in range(C) if block(i, j) != first[i ^ j]] == []
+
+
+def _flipped_copy_block(fam, steps, i, c):
+    """A doubled family with block (i, c) negated: entries still +-F/2^(K/2),
+    signs no longer the Sylvester matrix's."""
+    V = np.array(doubled_family(fam, steps).vectors)
+    M, d = fam.count, fam.dim
+    V[i * M : (i + 1) * M, c * d : (c + 1) * d] *= -1
+    return V
+
+
+def _three_copies(fam):
+    """Three signed copies, C = 3: Gram block (1, 2) is 3 G, larger than any
+    block (0, x), so pairs (0, x) alone would miss the maximum."""
+    return np.kron([[1, 1, 1], [1, -1, -1], [1, -1, -1]], fam.vectors)
+
+
+def test_gram_block_residual_falls_back_to_every_pair():
+    """Both fallbacks give the pair-by-pair value: a negated copy block, and
+    three copies (C not a power of two)."""
+    fam = build_nonpavable_general(2, 2)
+    for damaged in (_flipped_copy_block(fam, 2, 1, 2), _three_copies(fam)):
+        expected = gram_block_residual_by_pairs(damaged, fam.vectors)
+        assert gram_block_residual(FrameFamily(damaged), fam) == expected > 0.1
+
+
+def test_signed_copy_test_passes_a_doubled_family_and_refuses_each_damage():
+    fam = build_nonpavable_general(2, 2)
+    M, d = fam.count, fam.dim
+    V = doubled_family(fam, 2).vectors
+    assert constructions._signed_copies(V, M, d)
+    nudged = np.array(V)
+    nudged[20, 3] += 1e-3
+    first_row = np.array(V)
+    first_row[:M, 3 * d] *= -1  # block row 0 is no longer B, B, B, B
+    damaged = {
+        "nudged entry": nudged,
+        "negated copy block": _flipped_copy_block(fam, 2, 1, 2),
+        "negated column of block row 0": first_row,
+        "three copies": _three_copies(fam),
+        "columns not C*d": V[:, : 3 * d],
+    }
+    assert [k for k, W in damaged.items() if constructions._signed_copies(W, M, d)] == []
 
 
 def test_gram_block_residual_bits_equal_the_block_pairs_when_damaged():

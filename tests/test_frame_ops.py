@@ -18,6 +18,7 @@ from nonpaving import (
 )
 from nonpaving import frame_ops
 from nonpaving.frame_ops import _classify_tightness, projection_numbers
+from nonpaving.matrix_core import _hermitian_deviation
 
 from oracles import idempotency_residual_direct, jacobi_hermitian_eigenvalues
 
@@ -234,6 +235,24 @@ def test_projection_matrix_refuses_a_non_hermitian_matrix():
         ProjectionMatrix(np.array([[0.5, 0.5 + 10 * tol], [0.5, 0.5]], dtype=complex), 1)
     with pytest.raises(ValueError, match="not Hermitian"):
         ProjectionMatrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+def test_hermitian_deviation_bits_equal_the_whole_difference(m):
+    """Tile pairs of 128 x 128 against max|P - P^*| of the whole matrix, on
+    a random matrix and on a Hermitian one nudged by about 1e-13."""
+    rng = np.random.default_rng(m)
+    noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for P in (noise, _random_hermitian(m) + 1e-13 * noise):
+        assert _hermitian_deviation(P) == float(np.max(np.abs(P - P.conj().T)))
+
+
+def test_projection_matrix_peak_memory_is_near_its_input(traced_peak):
+    """The stored copy of the (8, 16) projection and one panel of
+    projection_numbers: about 1.4 of P's bytes, where P - P^* and its moduli
+    took 3.0."""
+    P = _built_projection(8, 16)
+    assert traced_peak(lambda: ProjectionMatrix(P, 128, 1 / 8)) <= 1.5 * P.nbytes
 
 
 # ---------------------------------------------------------------------------
