@@ -84,6 +84,15 @@ _NULL_REL_TOL = 1e-10
 # of RSS against 43.6 MB.
 _STACK_BYTES = 128 * 1024
 
+# The LAPACK gufunc behind np.linalg.eigvalsh (lower triangle), resolved
+# once: called directly it saves the wrapper's ~3 us of a 5-10 us walk node
+# (`_eig_min`). It is private numpy API, so the wrapper stands in where it
+# is missing.
+try:
+    from numpy.linalg._umath_linalg import eigvalsh_lo as _eigvalsh_lo
+except ImportError:
+    _eigvalsh_lo = np.linalg.eigvalsh
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -165,7 +174,19 @@ def _check_assignment_budget(size: int, num_parts: int, budget: int) -> None:
 
 
 def _eig_min(H: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(H)[0])
+    """np.linalg.eigvalsh(H)[0] for one Hermitian part matrix, bit for bit.
+
+    `_eigvalsh_lo` is the LAPACK gufunc that np.linalg.eigvalsh calls, taken
+    without the wrapper's per-call type checks and errstate. Where LAPACK
+    does not converge the gufunc returns NaN and sets the invalid flag, from
+    which the wrapper raises LinAlgError. This raises it from the NaN, so no
+    errstate can let a NaN bound through; the callers ignore the flag, once
+    per search or call, so that it neither warns nor raises first.
+    """
+    value = _eigvalsh_lo(H).item(0)
+    if math.isnan(value):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return value
 
 
 def _validate_subset(subset, dim: int) -> list[int]:
@@ -189,7 +210,8 @@ def riesz_lower_bound(family: FrameFamily, subset) -> float:
     so it equals a certificate's per-part bound bit for bit.
     """
     idx = _validate_subset(subset, family.count)
-    return _eig_min(gram(family.vectors).take(idx, 0).take(idx, 1))
+    with np.errstate(invalid="ignore"):  # a LAPACK failure raises in `_eig_min`, not here
+        return _eig_min(gram(family.vectors).take(idx, 0).take(idx, 1))
 
 
 def _prune_margin(G: np.ndarray) -> float:
@@ -502,7 +524,8 @@ def _partition_search(
         return False
 
     try:
-        descend(0, 0)
+        with np.errstate(invalid="ignore"):  # a LAPACK failure raises in `_eig_min`, not here
+            descend(0, 0)
     finally:
         del descend  # the closure refers to itself: free G and the lists now, not at a full GC
     pool = {lab: row for lab, row, value in leaves if value >= level - window}

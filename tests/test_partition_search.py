@@ -152,17 +152,20 @@ def test_search_work_counts_are_pinned(n, nodes, eigensolves, rejected, rank_cut
 def test_exhaustive_job_set_eigensolves_are_pinned(tmp_path, capsys, monkeypatch):
     """Matrices solved by eigvalsh in the benchmark's exhaustive job set:
     certify (2, 4), then sweep r = 2 over n = 1..4 (five builds' tightness
-    checks included). Without the rank cut the walk solved 428; without
-    row group and incumbent, 15,145; the flat walk two per partition,
-    270,880."""
-    real = np.linalg.eigvalsh
+    checks included), counted both through np.linalg.eigvalsh and through
+    the gufunc `_eig_min` calls directly. Without the rank cut the walk
+    solved 428; without row group and incumbent, 15,145; the flat walk two
+    per partition, 270,880."""
     solved = []
 
-    def counting(a, *args, **kwargs):
-        solved.append(a.size // (a.shape[-1] * a.shape[-1]))
-        return real(a, *args, **kwargs)
+    def counting(real):
+        def solve(a, *args, **kwargs):
+            solved.append(a.size // (a.shape[-1] * a.shape[-1]))
+            return real(a, *args, **kwargs)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    monkeypatch.setattr(pa, "_eigvalsh_lo", counting(pa._eigvalsh_lo))
     assert main(["certify", "--r", "2", "--n", "4", "--mode", "exhaustive",
                  "--out", str(tmp_path / "c.json")]) == 0
     assert main(["sweep", "--r", "2", "--n-list", "1,2,3,4",

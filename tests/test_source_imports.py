@@ -272,11 +272,13 @@ def test_matrix_is_copied_only_where_stored():
 
 
 def test_part_bounds_are_solved_in_two_places():
-    """Every part bound is one np.linalg.eigvalsh call in _eig_min (the
-    walk's node and riesz_lower_bound) or one stacked call in _label_bounds.
-    The incumbent, the orbit images and each sampled settle batch are one
-    _label_bounds call each."""
+    """Every part bound is one call of the LAPACK gufunc `_eigvalsh_lo` in
+    _eig_min (the walk's node and riesz_lower_bound) or one stacked
+    np.linalg.eigvalsh call in _label_bounds. The incumbent, the orbit
+    images and each sampled settle batch are one _label_bounds call each."""
     path = [SRC / "paving_analysis.py"]
-    assert _call_sites(path, "np.linalg.eigvalsh") == ["_eig_min", "_label_bounds"]
+    assert _call_sites(path, "_eigvalsh_lo") == ["_eig_min"]
+    assert _call_sites(path, "np.linalg.eigvalsh") == ["_label_bounds"]
+    assert _call_sites(path, "_eig_min") == ["_partition_search.descend", "riesz_lower_bound"]
     assert _call_sites(path, "_label_bounds") == ["_sampled_part_bounds"] + ["_sampled_values"] * 3
     assert _call_sites(path, "_sampled_part_bounds") == ["_partition_search"] * 2
